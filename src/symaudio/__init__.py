@@ -19,8 +19,8 @@ from .intervals import (RELATIONS, And, Box, Diamond, Not, Or, accessible,
                         parse_formula, relates)
 from .logiset import (FEATURE_FNS, Atom, Logiset, build_logiset,
                       compute_feature, instance_from_cube)
-from .trees import (DEFAULT_RELATIONS, Decision, Forest, Leaf, LearnParams,
-                    Model, Split, learn_forest, learn_tree, load_model,
+from .trees import (DEFAULT_RELATIONS, Decision, Leaf, LearnParams, Model,
+                    Split, learn_forest, learn_tree, load_model,
                     predict_forest, predict_model, predict_tree, save_model)
 
 __version__ = "0.1.0"

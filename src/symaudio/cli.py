@@ -11,7 +11,6 @@ import csv
 import io
 import os
 import sys
-import tempfile
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -22,13 +21,13 @@ from .audio import (AudioDecodeError, AudioSignal, FeatureCube, bandpass,
                     decode_wav, featurize_signal, resample, trim_nonspeech)
 from .config import (ConfigError, ExperimentConfig, learn_params_from,
                      load_config, normalize_mode, validate_config)
-from .cubefile import CubeFileError, load_cube_file, write_cube_file
+from .cubefile import (CubeFileError, atomic_write, load_cube_file,
+                       write_cube_file)
 from .evaluation import (METRICS_COLUMNS, RULES_COLUMNS, balanced_holdout,
                          evaluate, extract_rules, metrics_rows, rule_metrics,
                          rules_rows)
 from .logiset import build_logiset
-from .trees import (learn_forest, learn_tree, model_from_forest,
-                    model_from_tree, save_model)
+from .trees import learn_forest, learn_tree, model_from_tree, save_model
 
 CUBE_NAME = "features.cube"
 REPORT_NAME = "features.report.txt"
@@ -128,18 +127,9 @@ def main(argv=None):
 
 # --- shared output helpers --------------------------------------------------
 
-def _atomic_write_bytes(path, data):
-    d = os.path.dirname(os.path.abspath(path))
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_text(path, text):
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    atomic_write(path, text.encode("utf-8"))
 
 
 def _write_csv(path, header, rows):
@@ -147,7 +137,7 @@ def _write_csv(path, header, rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+    _write_text(path, buf.getvalue())
 
 
 def _load_logiset(args, cfg):
@@ -325,7 +315,7 @@ def _write_report(path, rows, status, n_ok, n_total, notes=None):
         else:
             lines.append(f"{listed}\tok")
     lines.append(f"processed {n_ok}/{n_total}")
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # --- model commands ---------------------------------------------------------
@@ -337,8 +327,7 @@ def cmd_train(args, cfg):
         model = model_from_tree(learn_tree(ls, params), params, ls.classes,
                                 ls.attr_names)
     else:
-        model = model_from_forest(learn_forest(ls, params), params,
-                                  ls.classes, ls.attr_names)
+        model = learn_forest(ls, params)
     out = os.path.join(cfg.out_dir, MODEL_NAME)
     os.makedirs(cfg.out_dir, exist_ok=True)
     save_model(model, out)

@@ -134,6 +134,8 @@ def validate_config(cfg):
         bad("min_gain and max_leaf_entropy must be >= 0")
     if cfg.n_trees < 1 or cfg.repeats < 1 or cfg.rules_trees < 1:
         bad("n_trees, repeats, and rules_trees must be at least 1")
+    if cfg.seed < 0:
+        bad("seed must be a non-negative integer")
     if not 0.0 < cfg.instance_frac <= 1.0 or not 0.0 < cfg.attr_frac <= 1.0:
         bad("sampling fractions must lie in (0, 1]")
     if not 0.0 < cfg.train_frac < 1.0:

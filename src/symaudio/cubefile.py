@@ -31,6 +31,21 @@ class CubeFile:
     labels: list          # class ids, one per instance
 
 
+def atomic_write(path, data):
+    """Write data to path through a temporary file in the same directory,
+    so readers see either the old file or the complete new one."""
+    d = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _pack_str(s):
     raw = s.encode("utf-8")
     return struct.pack("<I", len(raw)) + raw
@@ -64,18 +79,7 @@ def write_cube_file(path, attr_names, classes, values, labels):
         parts.append(struct.pack("<I", labels[i]))
         parts.append(np.ascontiguousarray(values[i], dtype="<f8").tobytes())
     body = b"".join(parts)
-    data = body + struct.pack("<I", zlib.crc32(body))
-
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, body + struct.pack("<I", zlib.crc32(body)))
 
 
 class _Cursor:
@@ -111,6 +115,10 @@ def load_cube_file(path):
     attr_names = tuple(cur.string() for _ in range(n))
     n_classes = cur.u32()
     classes = tuple(cur.string() for _ in range(n_classes))
+    # the counts come from the file: check them against its length before
+    # allocating, so a crafted header cannot demand an unbounded array
+    if m * (4 + 8 * n * T) > len(cur.data) - cur.pos:
+        raise CubeFileError("cube file is truncated")
     values = np.empty((m, n, T), dtype=np.float64)
     labels = []
     for i in range(m):

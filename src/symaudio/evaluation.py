@@ -15,8 +15,8 @@ import numpy as np
 
 from .intervals import And, Box, Diamond, check, format_formula
 from .logiset import Atom
-from .trees import (Forest, Leaf, Model, Split, _seed_tuple, learn_forest,
-                    learn_tree, predict_forest, predict_tree)
+from .trees import (Leaf, Model, Split, learn_forest, learn_tree,
+                    predict_forest, predict_tree)
 
 _HOLDOUT_TAG = 11
 
@@ -54,8 +54,6 @@ def leaf_count(obj):
         return 1
     if isinstance(obj, Split):
         return leaf_count(obj.left) + leaf_count(obj.right)
-    if isinstance(obj, Forest):
-        return sum(leaf_count(t) for t in obj.trees) / len(obj.trees)
     if isinstance(obj, Model):
         if obj.kind == "tree":
             return leaf_count(obj.tree)
@@ -138,8 +136,6 @@ def evaluate(ls, params, model="tree", train_frac=0.8, repeats=10, seed=0):
     """Balanced repeated holdout scores for a tree or forest learner."""
     if model not in ("tree", "forest"):
         raise ValueError(f"model must be tree or forest, got {model!r}")
-    if params.mode != ls.mode:
-        raise ValueError("learner mode does not match the logiset mode")
     labels = [inst.label for inst in ls.instances]
     splits = balanced_holdout(labels, train_frac=train_frac, repeats=repeats,
                               seed=seed)

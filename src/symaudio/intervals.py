@@ -4,12 +4,19 @@ An interval (x, y) with 0 <= x < y <= T covers the points x+1 .. y of a series
 of T points.  Seven named relations plus the global relation G connect pairs of
 intervals; formulas combine atoms (see logiset.Atom) with boolean connectives
 and the modal operators <R> / [R].
+
+The worlds of one mode and series length form a Frame: the intervals in
+lexicographic order, their column index, and one boolean matrix per relation.
+A set of worlds is a boolean row over the frame's intervals.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
+
+import numpy as np
 
 Interval = tuple  # (x, y), ints
 
@@ -30,11 +37,6 @@ def enumerate_intervals(T):
     if T < 1:
         raise ValueError(f"domain length must be >= 1, got {T}")
     return [(x, y) for x in range(T) for y in range(x + 1, T + 1)]
-
-
-@lru_cache(maxsize=None)
-def _all_intervals(T):
-    return tuple(enumerate_intervals(T))
 
 
 def relates(rel, w, v):
@@ -65,10 +67,60 @@ def relates(rel, w, v):
     raise ValueError(f"unknown relation {rel!r}")
 
 
+@dataclass(frozen=True, eq=False)
+class Frame:
+    """The worlds of one mode and series length.
+
+    R[rel][i, j] is true iff intervals[j] is reachable from intervals[i]
+    under rel; the matrices are read-only.  successors[rel][i] lists the
+    same reachable intervals as a tuple, for pointwise model checking.
+    Modal frames hold every interval, the propositional frame only (0, T).
+    """
+    intervals: tuple
+    index: dict           # interval -> column
+    R: dict               # relation -> (I, I) bool matrix
+    successors: dict      # relation -> per column, tuple of intervals
+
+    def reach(self, rel, worlds):
+        """Worlds reachable under rel from any world of each boolean row."""
+        try:
+            matrix = self.R[rel]
+        except KeyError:
+            raise ValueError(f"unknown relation {rel!r}") from None
+        return worlds @ matrix
+
+
 @lru_cache(maxsize=None)
+def frame(mode, T):
+    """The frame of mode ('modal' or 'propositional') over T points."""
+    if mode == "modal":
+        intervals = tuple(enumerate_intervals(T))
+    elif mode == "propositional":
+        intervals = ((0, T),)
+    else:
+        raise ValueError(
+            f"mode must be propositional or modal, got {mode!r}")
+    R, successors = {}, {}
+    for rel in RELATIONS:
+        matrix = np.array([[relates(rel, w, v) for v in intervals]
+                           for w in intervals], dtype=bool)
+        matrix.setflags(write=False)
+        R[rel] = matrix
+        successors[rel] = tuple(tuple(compress(intervals, row))
+                                for row in matrix)
+    return Frame(intervals=intervals,
+                 index={w: i for i, w in enumerate(intervals)}, R=R,
+                 successors=successors)
+
+
 def accessible(rel, w, T):
     """Intervals reachable from w under rel, in lexicographic order."""
-    return tuple(v for v in _all_intervals(T) if relates(rel, w, v))
+    f = frame("modal", T)
+    try:
+        return f.successors[rel][f.index[w]]
+    except KeyError:
+        raise ValueError(
+            f"no {rel!r} successors of {w!r} over {T} points") from None
 
 
 # --- formulas ---------------------------------------------------------------

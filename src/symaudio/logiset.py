@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import FeatureCube
-from .intervals import accessible, enumerate_intervals
+from .intervals import frame
 
 FEATURE_FNS = ("max", "min", "mean", "median", "std",
                "entropy_pairs", "transition_var", "stretch_high",
@@ -23,8 +23,6 @@ FN_INDEX = {name: i for i, name in enumerate(FEATURE_FNS)}
 _NUMERIC_FNS = ("max", "min", "mean", "median", "std")
 _SYMBOLIC_FNS = ("entropy_pairs", "transition_var", "stretch_high",
                  "stretch_decr")
-
-MODES = ("propositional", "modal")
 
 
 @dataclass(frozen=True)
@@ -104,37 +102,42 @@ def _longest_run(mask):
     return best
 
 
+def atom_values(table, atom):
+    """The atom's feature at every world: table[..., fn, attr, :]."""
+    try:
+        fn = FN_INDEX[atom.fn]
+    except KeyError:
+        raise ValueError(f"unknown feature function {atom.fn!r}") from None
+    if not 0 <= atom.attr < table.shape[-2]:
+        raise ValueError(f"atom references unknown attribute {atom.attr}")
+    return table[..., fn, atom.attr, :]
+
+
+def compare(op, vals, threshold):
+    """vals op threshold, elementwise, for op in {'<=', '>='}."""
+    if op == "<=":
+        return vals <= threshold
+    if op == ">=":
+        return vals >= threshold
+    raise ValueError(f"unknown comparison {op!r}")
+
+
 @dataclass
 class LogisetInstance:
     cube: FeatureCube
     label: int
     table: np.ndarray   # (n_fns, n_attrs, n_intervals)
-    w_index: dict       # interval -> table column, shared within a logiset
+    frame: object       # intervals.Frame naming the table columns
     T: int
 
     def eval_atom(self, atom, w):
         try:
-            col = self.w_index[w]
+            col = self.frame.index[w]
         except KeyError:
             raise ValueError(
                 f"interval {w} is not in the precomputed table") from None
-        try:
-            fn = FN_INDEX[atom.fn]
-        except KeyError:
-            raise ValueError(f"unknown feature function {atom.fn!r}") from None
-        if not 0 <= atom.attr < self.cube.n_attrs:
-            raise ValueError(f"atom references unknown attribute {atom.attr}")
-        val = self.table[fn, atom.attr, col]
-        if atom.op == "<=":
-            return bool(val <= atom.threshold)
-        if atom.op == ">=":
-            return bool(val >= atom.threshold)
-        raise ValueError(f"unknown comparison {atom.op!r}")
-
-
-def atom_eval(atom, inst, w):
-    """Atom truth at interval w, from the precomputed table."""
-    return inst.eval_atom(atom, w)
+        return bool(compare(atom.op, atom_values(self.table, atom)[col],
+                            atom.threshold))
 
 
 def _instance_table(values, intervals):
@@ -167,45 +170,21 @@ class Logiset:
     T: int
     mode: str
     attr_names: tuple
-    intervals: tuple
-    w_index: dict
+    frame: object         # intervals.Frame naming the table columns
     table: np.ndarray     # (m, n_fns, n_attrs, n_intervals), rows per instance
-
-    def __post_init__(self):
-        self._acc_idx = {}
 
     @property
     def n_attrs(self):
         return len(self.attr_names)
 
-    def accessible_indices(self, rel, w):
-        """Table columns reachable from w under rel, cached per logiset."""
-        key = (rel, w)
-        hit = self._acc_idx.get(key)
-        if hit is None:
-            hit = np.array([self.w_index[v]
-                            for v in accessible(rel, w, self.T)],
-                           dtype=np.int64)
-            self._acc_idx[key] = hit
-        return hit
-
-
-def _mode_intervals(mode, T):
-    if mode == "modal":
-        return tuple(enumerate_intervals(T))
-    if mode == "propositional":
-        return ((0, T),)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-
 
 def instance_from_cube(cube, mode, label=-1):
     """Standalone instance with its own table, for prediction on new data."""
     T = cube.values.shape[1]
-    intervals = _mode_intervals(mode, T)
-    w_index = {w: i for i, w in enumerate(intervals)}
+    f = frame(mode, T)
     return LogisetInstance(cube=cube, label=label,
-                           table=_instance_table(cube.values, intervals),
-                           w_index=w_index, T=T)
+                           table=_instance_table(cube.values, f.intervals),
+                           frame=f, T=T)
 
 
 def build_logiset(cubes, labels, mode="modal", classes=None):
@@ -235,16 +214,13 @@ def build_logiset(cubes, labels, mode="modal", classes=None):
     for lab in labels:
         if lab not in class_id:
             raise ValueError(f"label {lab!r} missing from the class vocabulary")
-    intervals = _mode_intervals(mode, T)
-    w_index = {w: i for i, w in enumerate(intervals)}
+    f = frame(mode, T)
     table = np.empty((len(cubes), len(FEATURE_FNS), len(names),
-                      len(intervals)))
+                      len(f.intervals)))
     instances = []
     for i, (cube, lab) in enumerate(zip(cubes, labels)):
-        table[i] = _instance_table(cube.values, intervals)
+        table[i] = _instance_table(cube.values, f.intervals)
         instances.append(LogisetInstance(cube=cube, label=class_id[lab],
-                                         table=table[i], w_index=w_index,
-                                         T=T))
+                                         table=table[i], frame=f, T=T))
     return Logiset(instances=instances, classes=classes, T=T, mode=mode,
-                   attr_names=names, intervals=intervals, w_index=w_index,
-                   table=table)
+                   attr_names=names, frame=f, table=table)

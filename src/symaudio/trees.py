@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .intervals import REL_ORDER, RELATIONS, accessible
-from .logiset import FEATURE_FNS, FN_INDEX, Atom, instance_from_cube
+from .cubefile import atomic_write
+from .intervals import REL_ORDER, RELATIONS, frame
+from .logiset import (FEATURE_FNS, FN_INDEX, Atom, atom_values, compare,
+                      instance_from_cube)
 
 DEFAULT_RELATIONS = ("L", "Linv", "AO", "AOinv", "DBE", "DBEinv", "G")
 
@@ -42,12 +42,6 @@ class Split:
     decision: Decision
     left: object   # true branch
     right: object  # false branch
-
-
-@dataclass(frozen=True)
-class InstanceState:
-    index: int
-    worlds: frozenset
 
 
 @dataclass(frozen=True)
@@ -78,10 +72,17 @@ class LearnParams:
 
 
 @dataclass(frozen=True)
-class Forest:
+class Model:
+    kind: str             # "tree" or "forest"
+    params: LearnParams
+    classes: tuple
+    attr_names: tuple
     trees: tuple
-    attr_subsets: tuple
-    seed: object
+    attr_subsets: tuple = ()
+
+    @property
+    def tree(self):
+        return self.trees[0]
 
 
 def entropy(histogram):
@@ -97,36 +98,19 @@ def entropy(histogram):
     return h
 
 
-def initial_worlds(mode, T):
-    if mode == "modal":
-        return frozenset((x, y) for x in range(T) for y in range(x + 1, T + 1))
-    if mode == "propositional":
-        return frozenset([(0, T)])
-    raise ValueError(f"bad mode {mode!r}")
+def witnesses(decision, vals, worlds, frame):
+    """Apply decision to boolean world rows: (truth, refined worlds).
 
-
-def _witnesses(decision, inst, worlds):
-    rel = decision.relation
+    vals holds the decision's feature at every world of frame, shaped like
+    worlds (one row per instance, or a single row).  A row is true when some
+    world reachable from it under the relation satisfies the atom; a true row
+    becomes the set of those witnesses, a false row stays as it was.
+    """
     atom = decision.atom
-    if rel == "G":
-        cand = accessible("G", next(iter(worlds)), inst.T)
-    elif rel == "Id":
-        cand = sorted(worlds)
-    else:
-        seen = set()
-        for w in worlds:
-            seen.update(accessible(rel, w, inst.T))
-        cand = sorted(seen)
-    return frozenset(v for v in cand if inst.eval_atom(atom, v))
-
-
-def apply_decision(decision, state, ls):
-    """Route one instance: (truth, refined or unchanged state)."""
-    inst = ls.instances[state.index]
-    sat = _witnesses(decision, inst, state.worlds)
-    if sat:
-        return True, InstanceState(state.index, sat)
-    return False, state
+    sat = frame.reach(decision.relation, worlds) & \
+        compare(atom.op, vals, atom.threshold)
+    truth = sat.any(axis=-1)
+    return truth, np.where(truth[..., None], sat, worlds)
 
 
 # --- split search -----------------------------------------------------------
@@ -143,39 +127,21 @@ def _gain(parent_h, left_hist, right_hist, total, ent_cache):
     return parent_h - (nl * h(left_hist) + nr * h(right_hist)) / total
 
 
-def _reach_segments(ls, states, rel):
-    """Per state, the table columns reachable under rel from its worlds."""
-    if rel == "G":
-        full = np.arange(len(ls.intervals), dtype=np.int64)
-        return [full] * len(states)
-    segs = []
-    for s in states:
-        if rel == "Id":
-            segs.append(np.sort(np.array(
-                [ls.w_index[w] for w in s.worlds], dtype=np.int64)))
-        else:
-            parts = [ls.accessible_indices(rel, w) for w in sorted(s.worlds)]
-            parts = [p for p in parts if p.size]
-            if parts:
-                segs.append(np.unique(np.concatenate(parts)))
-            else:
-                segs.append(np.empty(0, dtype=np.int64))
-    return segs
-
-
-def best_split(ls, states, *, relations, functions, attrs):
+def best_split(ls, rows, worlds, *, relations, functions, attrs):
     """Exhaustive search over relation x function x attribute x op x threshold.
 
-    Thresholds are the distinct feature values observed at the reachable
-    worlds of the node's instances.  Returns (Decision, gain) maximizing
-    entropy gain, ties broken by the canonical (relation, attr, fn, op,
-    threshold) order; None when no candidate partitions the node.
+    The node holds the instances `rows` of ls, each with its boolean world
+    row in `worlds`.  Thresholds are the distinct feature values observed at
+    the reachable worlds of the node's instances.  Returns (Decision, gain)
+    maximizing entropy gain, ties broken by the canonical (relation, attr,
+    fn, op, threshold) order; None when no candidate partitions the node.
     """
-    m = len(states)
+    rows = np.asarray(rows)
+    m = len(rows)
     if m < 2:
         return None
     k = len(ls.classes)
-    labels = np.array([ls.instances[s.index].label for s in states])
+    labels = np.array([ls.instances[i].label for i in rows])
     parent_hist = tuple(int(c) for c in np.bincount(labels, minlength=k))
     ent_cache = {}
     parent_h = entropy(parent_hist)
@@ -184,31 +150,24 @@ def best_split(ls, states, *, relations, functions, attrs):
     onehot = np.zeros((m, k), dtype=np.int64)
     onehot[np.arange(m), labels] = 1
     parent_arr = np.array(parent_hist, dtype=np.int64)
-    rows = np.array([s.index for s in states])
 
     best = None  # (gain, key, Decision)
     attrs = sorted(attrs)
     fns = [fn for fn in FEATURE_FNS if fn in set(functions)]
 
     for rel in relations:
-        segs = _reach_segments(ls, states, rel)
-        lens = np.array([s.size for s in segs])
-        if not lens.any():
+        reach = ls.frame.reach(rel, worlds)
+        if not reach.any():
             continue
-        flat_rows = np.repeat(rows, lens)
-        flat_cols = np.concatenate([s for s in segs if s.size])
-        starts = np.concatenate([[0], np.cumsum(lens)[:-1]])
-        nonempty = lens > 0
-        ne_starts = starts[nonempty]
+        unreached = ~reach[:, None, :]
         for fn in fns:
             fi = FN_INDEX[fn]
-            for attr in attrs:
-                vals = ls.table[flat_rows, fi, attr, flat_cols]
-                mx = np.full(m, -np.inf)
-                mn = np.full(m, np.inf)
-                mx[nonempty] = np.maximum.reduceat(vals, ne_starts)
-                mn[nonempty] = np.minimum.reduceat(vals, ne_starts)
-                pool = np.unique(vals)
+            vals = ls.table[rows[:, None], fi, attrs]   # (m, attrs, worlds)
+            hi = np.where(unreached, -np.inf, vals).max(axis=2)
+            lo = np.where(unreached, np.inf, vals).min(axis=2)
+            for j, attr in enumerate(attrs):
+                mx, mn = hi[:, j], lo[:, j]
+                pool = np.unique(vals[:, j][reach])
                 for op in ("<=", ">="):
                     if op == "<=":
                         sat = mn[None, :] <= pool[:, None]
@@ -262,6 +221,8 @@ def _leaf(labels, k):
 
 def learn_tree(ls, params, indices=None, attrs=None):
     """Grow a tree top-down; leaves stop at low entropy or insufficient gain."""
+    if params.mode != ls.mode:
+        raise ValueError("learner mode does not match the logiset mode")
     if indices is None:
         indices = range(len(ls.instances))
     indices = sorted(indices)
@@ -271,15 +232,13 @@ def learn_tree(ls, params, indices=None, attrs=None):
         attrs = range(ls.n_attrs)
     attrs = sorted(attrs)
     k = len(ls.classes)
-    w0 = initial_worlds(params.mode, ls.T)
-    states = [InstanceState(i, w0) for i in indices]
 
-    def grow(states, depth):
-        labels = np.array([ls.instances[s.index].label for s in states])
+    def grow(rows, worlds, depth):
+        labels = np.array([ls.instances[i].label for i in rows])
         h = entropy(tuple(int(c) for c in np.bincount(labels, minlength=k)))
-        if h <= params.max_leaf_entropy or len(states) < 2:
+        if h <= params.max_leaf_entropy or len(rows) < 2:
             return _leaf(labels, k)
-        found = best_split(ls, states,
+        found = best_split(ls, rows, worlds,
                            relations=_node_relations(params, depth),
                            functions=params.functions, attrs=attrs)
         if found is None:
@@ -287,33 +246,34 @@ def learn_tree(ls, params, indices=None, attrs=None):
         decision, gain = found
         if gain < params.min_gain:
             return _leaf(labels, k)
-        left_states, right_states = [], []
-        for s in states:
-            truth, new_state = apply_decision(decision, s, ls)
-            (left_states if truth else right_states).append(new_state)
-        if not left_states or not right_states:
+        truth, refined = witnesses(
+            decision, atom_values(ls.table, decision.atom)[rows], worlds,
+            ls.frame)
+        if truth.all() or not truth.any():
             return _leaf(labels, k)
         return Split(decision=decision,
-                     left=grow(left_states, depth + 1),
-                     right=grow(right_states, depth + 1))
+                     left=grow(rows[truth], refined[truth], depth + 1),
+                     right=grow(rows[~truth], refined[~truth], depth + 1))
 
-    return grow(states, 0)
+    # every instance starts at every world of the frame
+    return grow(np.array(indices),
+                np.ones((len(indices), len(ls.frame.intervals)), dtype=bool),
+                0)
 
 
 def route_tree(tree, inst, mode):
-    """Follow decisions from the initial state; returns (leaf, branch path)."""
-    worlds = initial_worlds(mode, inst.T)
+    """Follow decisions from every world; returns (leaf, branch path)."""
+    if inst.frame is not frame(mode, inst.T):
+        raise ValueError(f"instance table is not in {mode} mode")
+    worlds = np.ones(len(inst.frame.intervals), dtype=bool)
     node = tree
     path = []
     while isinstance(node, Split):
-        sat = _witnesses(node.decision, inst, worlds)
-        if sat:
-            worlds = sat
-            node = node.left
-            path.append(True)
-        else:
-            node = node.right
-            path.append(False)
+        truth, worlds = witnesses(
+            node.decision, atom_values(inst.table, node.decision.atom),
+            worlds, inst.frame)
+        node = node.left if truth else node.right
+        path.append(bool(truth))
     return node, path
 
 
@@ -352,8 +312,9 @@ def learn_forest(ls, params, indices=None):
         trees.append(learn_tree(ls, grow_params, indices=inst_sample,
                                 attrs=[int(a) for a in attr_sample]))
         subsets.append(tuple(int(a) for a in attr_sample))
-    return Forest(trees=tuple(trees), attr_subsets=tuple(subsets),
-                  seed=params.seed)
+    return Model(kind="forest", params=params, classes=ls.classes,
+                 attr_names=ls.attr_names, trees=tuple(trees),
+                 attr_subsets=tuple(subsets))
 
 
 def predict_forest(forest, inst, mode, n_classes):
@@ -366,42 +327,18 @@ def predict_forest(forest, inst, mode, n_classes):
 
 # --- serialization ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Model:
-    kind: str             # "tree" or "forest"
-    params: LearnParams
-    classes: tuple
-    attr_names: tuple
-    trees: tuple
-    attr_subsets: tuple = ()
-
-    @property
-    def tree(self):
-        return self.trees[0]
-
-
 def model_from_tree(tree, params, classes, attr_names):
     return Model(kind="tree", params=params, classes=tuple(classes),
                  attr_names=tuple(attr_names), trees=(tree,))
-
-
-def model_from_forest(forest, params, classes, attr_names):
-    return Model(kind="forest", params=params, classes=tuple(classes),
-                 attr_names=tuple(attr_names), trees=forest.trees,
-                 attr_subsets=forest.attr_subsets)
 
 
 def predict_model(model, cube):
     if tuple(cube.names) != model.attr_names:
         raise ValueError("cube attributes do not match the model schema")
     inst = instance_from_cube(cube, model.params.mode)
-    if model.kind == "tree":
-        return model.params.mode, predict_tree(model.tree, inst,
-                                               model.params.mode)
-    votes = np.zeros(len(model.classes), dtype=np.int64)
-    for tree in model.trees:
-        votes[predict_tree(tree, inst, model.params.mode)] += 1
-    return model.params.mode, int(np.argmax(votes))
+    # a tree model is a forest of one: its single vote is its prediction
+    return model.params.mode, predict_forest(model, inst, model.params.mode,
+                                             len(model.classes))
 
 
 def _node_to_dict(node, classes, attr_names):
@@ -481,23 +418,9 @@ def model_to_json(model):
 
 
 def save_model(model, path):
-    data = model_to_json(model).encode("utf-8")
-    _atomic_write(path, data)
+    atomic_write(path, model_to_json(model).encode("utf-8"))
 
 
 def load_model(path):
     with open(path, "rb") as fh:
         return model_from_dict(json.loads(fh.read().decode("utf-8")))
-
-
-def _atomic_write(path, data):
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise

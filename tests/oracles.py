@@ -227,7 +227,7 @@ def naive_best_split(ls, states, relations, functions, attrs):
 
     def value(state, fn, attr, v):
         inst = ls.instances[state.index]
-        return float(inst.table[FN_RANK[fn], attr, ls.w_index[v]])
+        return float(inst.table[FN_RANK[fn], attr, ls.frame.index[v]])
 
     best = None  # (gain, key, decision)
     for rel in relations:

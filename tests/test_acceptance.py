@@ -7,6 +7,8 @@ from first principles rather than trusting library internals.
 """
 
 import os
+from itertools import compress
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,11 +21,10 @@ from symaudio.evaluation import (cohen_kappa, evaluate, extract_rules,
                                  leaf_count, rule_satisfied)
 from symaudio.intervals import (RELATIONS, And, Box, Diamond, Not, Or, check,
                                 enumerate_intervals)
-from symaudio.logiset import (FEATURE_FNS, Atom, FeatureCube, build_logiset,
-                              instance_from_cube)
-from symaudio.trees import (Decision, InstanceState, Leaf, LearnParams, Split,
-                            apply_decision, best_split, initial_worlds,
-                            learn_tree, route_tree)
+from symaudio.logiset import (FEATURE_FNS, Atom, FeatureCube, atom_values,
+                              build_logiset, instance_from_cube)
+from symaudio.trees import (Decision, Leaf, LearnParams, Split, best_split,
+                            learn_tree, route_tree, witnesses)
 
 import oracles
 
@@ -126,8 +127,13 @@ FN_MENUS = (("max", "min"), ("mean", "median", "std"),
             ("stretch_high", "stretch_decr"), FEATURE_FNS)
 
 
-def _agree_one_round(ls, states, rels, fns, attrs):
-    got = best_split(ls, states, relations=rels, functions=fns, attrs=attrs)
+def _agree_one_round(ls, rows, worlds, rels, fns, attrs):
+    got = best_split(ls, rows, worlds, relations=rels, functions=fns,
+                     attrs=attrs)
+    # the oracle reads each world row as a frozenset of intervals
+    states = [SimpleNamespace(index=int(i),
+                              worlds=frozenset(compress(ls.frame.intervals, w)))
+              for i, w in zip(rows, worlds)]
     want = oracles.naive_best_split(ls, states, rels, fns, attrs)
     if want is None:
         assert got is None
@@ -156,20 +162,19 @@ def test_split_search_oracle():
         cubes = [FeatureCube(tuple("ab c"[:n_attr]), v) for v in vals]
         ls = build_logiset(cubes, labels, mode="modal")
         attrs = list(range(n_attr))
-        states = [InstanceState(i, initial_worlds("modal", T))
-                  for i in range(m)]
-        dec = _agree_one_round(ls, states, rels, fns, attrs)
+        rows = np.arange(m)
+        worlds = np.ones((m, len(ls.frame.intervals)), dtype=bool)
+        dec = _agree_one_round(ls, rows, worlds, rels, fns, attrs)
         if dec is None:
             continue
         n_found += 1
         # push one level deeper so refined witness states get compared too
-        left, right = [], []
-        for s in states:
-            truth, ns = apply_decision(dec, s, ls)
-            (left if truth else right).append(ns)
-        for side in (left, right):
-            if len(side) >= 2:
-                _agree_one_round(ls, side, rels, fns, attrs)
+        truth, refined = witnesses(dec, atom_values(ls.table, dec.atom)[rows],
+                                   worlds, ls.frame)
+        for side in (truth, ~truth):
+            if side.sum() >= 2:
+                _agree_one_round(ls, rows[side], refined[side], rels, fns,
+                                 attrs)
     assert n_datasets >= 50
     assert n_found >= 30
 

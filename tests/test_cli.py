@@ -1,8 +1,12 @@
 """End-to-end command line tests on a tiny synthetic tone corpus."""
 
+import importlib
+import importlib.util
 import os
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -259,6 +263,33 @@ def test_corrupt_cube_is_data_error(tmp_path, capsys):
     rc = cli.main(["train", str(bad)])
     assert rc == 2
     assert "data error:" in capsys.readouterr().err
+
+
+def test_crafted_cube_header_is_data_error(tmp_path, capsys):
+    # valid checksum, but the header asks for 4e6 x 4 x 4000 values
+    body = b"MTSD1" + struct.pack("<III", 4_000_000, 4, 4000)
+    body += b"".join(struct.pack("<I", 1) + c for c in (b"a", b"b", b"c", b"d"))
+    body += struct.pack("<I", 0)
+    bad = tmp_path / "crafted.cube"
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    assert cli.main(["train", str(bad)]) == 2
+    assert "data error:" in capsys.readouterr().err
+
+
+def test_benchmark_trace_hooks_resolve():
+    # the benchmark's span recorder wraps these functions by name; one that
+    # no longer resolves is skipped there and its metric silently reads 0
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    hooks = [t[:2] for t in spans.TARGETS] + [c[:2] for c in spans.COUNTED]
+    assert len(hooks) > 20
+    missing = [f"{mod}.{attr}" for mod, attr in hooks
+               if not callable(getattr(importlib.import_module(mod), attr,
+                                       None))]
+    assert missing == []
 
 
 def test_module_entry_point():

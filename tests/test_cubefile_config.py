@@ -1,4 +1,7 @@
 """Cube container format and experiment config files."""
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,13 @@ def test_cube_detects_truncation_and_trailing_bytes(tmp_path):
         load_cube_file(path)
     path.write_bytes(raw + b"junk")
     with pytest.raises(CubeFileError):
+        load_cube_file(path)
+    # valid checksum, but the header asks for 4e6 x 4 x 4000 values
+    body = b"MTSD1" + struct.pack("<III", 4_000_000, 4, 4000)
+    body += b"".join(struct.pack("<I", 1) + c for c in (b"a", b"b", b"c", b"d"))
+    body += struct.pack("<I", 0)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CubeFileError, match="truncated"):
         load_cube_file(path)
 
 
@@ -168,6 +178,7 @@ def test_validation_errors():
         "n_trees=0",
         "instance_frac=0",
         "trim_threshold_db=0",
+        "seed=-1",
     ]
     for text in bad:
         with pytest.raises(ConfigError):

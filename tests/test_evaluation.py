@@ -10,7 +10,7 @@ from symaudio.evaluation import (MetricsReport, Rule, accuracy,
                                  confusion_matrix, evaluate, extract_rules,
                                  flip_atom, leaf_count, metrics_rows,
                                  rule_metrics, rule_satisfied, rules_rows)
-from symaudio.trees import (Decision, Forest, Leaf, LearnParams, Split,
+from symaudio.trees import (Decision, Leaf, LearnParams, Model, Split,
                             learn_tree, model_from_tree, route_tree)
 
 
@@ -57,7 +57,9 @@ def test_leaf_count():
     assert leaf_count(two) == 2
     three = Split(decision=dec, left=two, right=one)
     five = Split(decision=dec, left=three, right=two)
-    forest = Forest(trees=(three, five), attr_subsets=((0,), (0,)), seed=0)
+    forest = Model(kind="forest", params=LearnParams(), classes=(0, 1),
+                   attr_names=("a0",), trees=(three, five),
+                   attr_subsets=((0,), (0,)))
     assert leaf_count(forest) == 4.0
     model = model_from_tree(two, LearnParams(), (0, 1), ("a0",))
     assert leaf_count(model) == 2

@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 import oracles
 from symaudio.audio import FeatureCube
 from symaudio.intervals import enumerate_intervals
-from symaudio.logiset import (Atom, FEATURE_FNS, FN_INDEX, atom_eval,
-                              build_logiset, compute_feature,
-                              instance_from_cube)
+from symaudio.logiset import (Atom, FEATURE_FNS, FN_INDEX, build_logiset,
+                              compute_feature, instance_from_cube)
 
 
 def test_feature_fn_roster():
@@ -97,20 +96,20 @@ def test_table_fidelity():
         attr = int(rng.integers(3))
         w = ivs[int(rng.integers(len(ivs)))]
         direct = compute_feature(fn, values[attr], w)
-        assert inst.table[FN_INDEX[fn], attr, inst.w_index[w]] == direct
+        assert inst.table[FN_INDEX[fn], attr, inst.frame.index[w]] == direct
 
 
 def test_atom_eval_examples():
     inst = instance_from_cube(_cube([[1.0, 2.0, 3.0]]), "modal")
-    assert atom_eval(Atom(fn="mean", attr=0, op=">=", threshold=2.0),
-                     inst, (0, 3))
-    assert not atom_eval(Atom(fn="max", attr=0, op="<=", threshold=0.0),
-                         inst, (0, 3))
+    assert inst.eval_atom(Atom(fn="mean", attr=0, op=">=", threshold=2.0),
+                          (0, 3))
+    assert not inst.eval_atom(Atom(fn="max", attr=0, op="<=", threshold=0.0),
+                              (0, 3))
     near = instance_from_cube(_cube([[1.5, 1.6, 1.4]]), "modal")
-    assert atom_eval(Atom(fn="min", attr=0, op=">=", threshold=1.46),
-                     near, (0, 2))
-    assert not atom_eval(Atom(fn="min", attr=0, op=">=", threshold=1.46),
-                         near, (0, 3))
+    assert near.eval_atom(Atom(fn="min", attr=0, op=">=", threshold=1.46),
+                          (0, 2))
+    assert not near.eval_atom(Atom(fn="min", attr=0, op=">=",
+                                   threshold=1.46), (0, 3))
 
 
 def test_atom_eval_errors():
@@ -127,9 +126,9 @@ def test_atom_eval_errors():
 
 def test_propositional_instance_only_has_full_interval():
     inst = instance_from_cube(_cube([[1.0, 2.0, 3.0]]), "propositional")
-    assert tuple(inst.w_index) == ((0, 3),)
-    assert atom_eval(Atom(fn="mean", attr=0, op=">=", threshold=2.0),
-                     inst, (0, 3))
+    assert inst.frame.intervals == ((0, 3),)
+    assert inst.eval_atom(Atom(fn="mean", attr=0, op=">=", threshold=2.0),
+                          (0, 3))
     with pytest.raises(ValueError):
         inst.eval_atom(Atom(fn="mean", attr=0, op=">=", threshold=2.0),
                        (0, 2))
@@ -224,8 +223,9 @@ def test_accessible_indices_consistent():
     rng = np.random.default_rng(4)
     cubes = [_cube(rng.normal(size=(2, 5))) for _ in range(2)]
     ls = build_logiset(cubes, [0, 1])
+    f = ls.frame
     for rel in ("L", "AO", "DBE", "G", "Id"):
-        for w in ls.intervals:
-            idx = ls.accessible_indices(rel, w)
-            want = [ls.w_index[v] for v in oracles.o_accessible(rel, w, 5)]
+        for w in f.intervals:
+            idx = np.flatnonzero(f.R[rel][f.index[w]])
+            want = [f.index[v] for v in oracles.o_accessible(rel, w, 5)]
             assert list(idx) == want

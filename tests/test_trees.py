@@ -1,20 +1,23 @@
 """Decision construction, split search, tree/forest learning, model files."""
 import json
 import math
+from itertools import compress
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
 from symaudio.audio import FeatureCube
-from symaudio.logiset import Atom, build_logiset, instance_from_cube
-from symaudio.trees import (DEFAULT_RELATIONS, Decision, Forest, InstanceState,
-                            Leaf, LearnParams, Model, Split, apply_decision,
-                            best_split, entropy, initial_worlds, learn_forest,
+from symaudio.intervals import frame
+from symaudio.logiset import Atom, atom_values, build_logiset, \
+    instance_from_cube
+from symaudio.trees import (DEFAULT_RELATIONS, Decision, Leaf, LearnParams,
+                            Model, Split, best_split, entropy, learn_forest,
                             learn_tree, load_model, model_from_dict,
-                            model_from_forest, model_from_tree, model_to_dict,
-                            model_to_json, predict_forest, predict_model,
-                            predict_tree, route_tree, save_model, _witnesses)
+                            model_from_tree, model_to_dict, model_to_json,
+                            predict_forest, predict_model, predict_tree,
+                            route_tree, save_model, witnesses)
 
 
 def _cube(values, names=None):
@@ -27,6 +30,26 @@ def _cube(values, names=None):
 def _ls(series_list, labels, mode="modal"):
     cubes = [_cube(s) for s in series_list]
     return build_logiset(cubes, labels, mode=mode)
+
+
+def _all_worlds(ls, m):
+    return np.ones((m, len(ls.frame.intervals)), dtype=bool)
+
+
+def _oracle_states(ls, rows, worlds):
+    """The node as the oracle reads it: index and interval frozenset."""
+    return [SimpleNamespace(index=int(i),
+                            worlds=frozenset(compress(ls.frame.intervals, w)))
+            for i, w in zip(rows, worlds)]
+
+
+def _apply(decision, ls, worlds):
+    """Route instance 0 of ls from an interval set: (truth, new set)."""
+    f = ls.frame
+    row = np.array([w in worlds for w in f.intervals])
+    truth, new = witnesses(decision, atom_values(ls.table[0], decision.atom),
+                           row, f)
+    return bool(truth), frozenset(compress(f.intervals, new))
 
 
 def _random_ls(rng, m, T, n_attrs, mode="modal"):
@@ -54,8 +77,9 @@ def test_default_relations():
 
 
 def test_initial_worlds():
-    assert initial_worlds("propositional", 5) == frozenset([(0, 5)])
-    modal = initial_worlds("modal", 3)
+    assert frozenset(frame("propositional", 5).intervals) == \
+        frozenset([(0, 5)])
+    modal = frozenset(frame("modal", 3).intervals)
     assert modal == frozenset([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
                                (2, 3)])
 
@@ -81,50 +105,45 @@ def test_learn_params_validation():
 
 def test_apply_decision_refines_to_all_witnesses():
     ls = _ls([[[1, 2, 3, 4, 5]]], [0])
-    state = InstanceState(0, frozenset([(0, 2)]))
     dec = Decision("L", Atom(fn="max", attr=0, op=">=", threshold=5.0))
-    truth, new = apply_decision(dec, state, ls)
+    truth, new = _apply(dec, ls, frozenset([(0, 2)]))
     assert truth is True
     # every later interval whose max reaches 5 becomes a world
-    assert new.worlds == frozenset([(3, 5), (4, 5)])
+    assert new == frozenset([(3, 5), (4, 5)])
 
 
 def test_apply_decision_false_keeps_worlds():
     ls = _ls([[[1, 2, 3, 4, 5]]], [0])
-    state = InstanceState(0, frozenset([(0, 2)]))
     dec = Decision("L", Atom(fn="max", attr=0, op=">=", threshold=9.0))
-    truth, new = apply_decision(dec, state, ls)
+    truth, new = _apply(dec, ls, frozenset([(0, 2)]))
     assert truth is False
-    assert new.worlds == frozenset([(0, 2)])
+    assert new == frozenset([(0, 2)])
 
 
 def test_apply_decision_propositional_identity():
     ls = _ls([[[1, 2, 3, 4, 5]]], [0], mode="propositional")
-    state = InstanceState(0, frozenset([(0, 5)]))
     dec = Decision("Id", Atom(fn="mean", attr=0, op=">=", threshold=2.0))
-    truth, new = apply_decision(dec, state, ls)
+    truth, new = _apply(dec, ls, frozenset([(0, 5)]))
     assert truth is True
-    assert new.worlds == frozenset([(0, 5)])
+    assert new == frozenset([(0, 5)])
 
 
 def test_apply_decision_global_sweep():
     ls = _ls([[[0, 0, 7, 0]]], [0])
-    state = InstanceState(0, frozenset([(0, 1)]))
     dec = Decision("G", Atom(fn="max", attr=0, op=">=", threshold=7.0))
-    truth, new = apply_decision(dec, state, ls)
+    truth, new = _apply(dec, ls, frozenset([(0, 1)]))
     assert truth is True
     # all intervals covering the spike at point 3
-    assert new.worlds == frozenset([(0, 3), (0, 4), (1, 3), (1, 4), (2, 3),
-                                    (2, 4)])
+    assert new == frozenset([(0, 3), (0, 4), (1, 3), (1, 4), (2, 3),
+                             (2, 4)])
 
 
 def test_apply_decision_id_filters_worlds():
     ls = _ls([[[0, 0, 7, 0]]], [0])
-    state = InstanceState(0, frozenset([(0, 1), (0, 3), (2, 3)]))
     dec = Decision("Id", Atom(fn="max", attr=0, op=">=", threshold=7.0))
-    truth, new = apply_decision(dec, state, ls)
+    truth, new = _apply(dec, ls, frozenset([(0, 1), (0, 3), (2, 3)]))
     assert truth is True
-    assert new.worlds == frozenset([(0, 3), (2, 3)])
+    assert new == frozenset([(0, 3), (2, 3)])
 
 
 # --- split search ------------------------------------------------------------
@@ -133,9 +152,8 @@ def test_best_split_separable_propositional():
     ls = _ls([[[0, 0, 0]], [[0, 0.1, 0]], [[0.1, 0, 0]],
               [[1, 1, 1]], [[0.9, 1, 1]], [[1, 0.9, 1]]],
              [0, 0, 0, 1, 1, 1], mode="propositional")
-    states = [InstanceState(i, initial_worlds("propositional", 3))
-              for i in range(6)]
-    found = best_split(ls, states, relations=("Id",),
+    found = best_split(ls, np.arange(6), _all_worlds(ls, 6),
+                       relations=("Id",),
                        functions=("max", "min", "mean"), attrs=(0,))
     assert found is not None
     dec, gain = found
@@ -146,15 +164,13 @@ def test_best_split_separable_propositional():
 
 def test_best_split_pure_node_is_none():
     ls = _ls([[[0, 1, 0]], [[1, 0, 1]]], [0, 0])
-    states = [InstanceState(i, initial_worlds("modal", 3)) for i in range(2)]
-    assert best_split(ls, states, relations=("G",),
+    assert best_split(ls, np.arange(2), _all_worlds(ls, 2), relations=("G",),
                       functions=("max",), attrs=(0,)) is None
 
 
 def test_best_split_identical_instances_is_none():
     ls = _ls([[[0.5, 0.5, 0.5]]] * 4, [0, 1, 0, 1])
-    states = [InstanceState(i, initial_worlds("modal", 3)) for i in range(4)]
-    assert best_split(ls, states, relations=("G",),
+    assert best_split(ls, np.arange(4), _all_worlds(ls, 4), relations=("G",),
                       functions=("max", "min", "mean", "std"),
                       attrs=(0,)) is None
 
@@ -168,14 +184,13 @@ def test_best_split_matches_naive_oracle():
                 "stretch_decr")]
     for trial in range(10):
         ls = _random_ls(rng, m=6, T=3, n_attrs=2)
-        states = [InstanceState(i, initial_worlds("modal", 3))
-                  for i in range(6)]
+        rows, worlds = np.arange(6), _all_worlds(ls, 6)
         relations = rel_menu[trial % len(rel_menu)]
         functions = fn_menu[trial % len(fn_menu)]
-        got = best_split(ls, states, relations=relations,
+        got = best_split(ls, rows, worlds, relations=relations,
                          functions=functions, attrs=(0, 1))
-        want = oracles.naive_best_split(ls, states, relations, functions,
-                                        (0, 1))
+        want = oracles.naive_best_split(ls, _oracle_states(ls, rows, worlds),
+                                        relations, functions, (0, 1))
         if want is None:
             assert got is None
             continue
@@ -190,11 +205,10 @@ def test_best_split_gain_bounds():
     rng = np.random.default_rng(13)
     for _ in range(10):
         ls = _random_ls(rng, m=8, T=3, n_attrs=2)
-        states = [InstanceState(i, initial_worlds("modal", 3))
-                  for i in range(8)]
-        labels = [ls.instances[s.index].label for s in states]
+        labels = [inst.label for inst in ls.instances]
         parent = oracles.o_entropy([labels.count(c) for c in (0, 1)])
-        found = best_split(ls, states, relations=("G", "L", "DBE"),
+        found = best_split(ls, np.arange(8), _all_worlds(ls, 8),
+                           relations=("G", "L", "DBE"),
                            functions=("max", "mean"), attrs=(0, 1))
         if found is not None:
             assert -1e-12 <= found[1] <= parent + 1e-12
@@ -248,13 +262,15 @@ def test_route_path_replays_decisions():
     for inst in ls.instances:
         leaf, path = route_tree(tree, inst, "modal")
         node = tree
-        worlds = initial_worlds("modal", inst.T)
+        worlds = np.ones(len(inst.frame.intervals), dtype=bool)
         for went_left in path:
             assert isinstance(node, Split)
-            sat = _witnesses(node.decision, inst, worlds)
-            assert bool(sat) is went_left
-            if sat:
-                worlds = sat
+            truth, refined = witnesses(
+                node.decision, atom_values(inst.table, node.decision.atom),
+                worlds, inst.frame)
+            assert bool(truth) is went_left
+            if truth:
+                worlds = refined
                 node = node.left
             else:
                 node = node.right
@@ -322,7 +338,9 @@ def test_forest_of_one_matches_its_tree():
 def test_forest_tie_vote_goes_to_lowest_class():
     leaf0 = Leaf(class_id=0, histogram=(1, 0))
     leaf1 = Leaf(class_id=1, histogram=(0, 1))
-    forest = Forest(trees=(leaf0, leaf1), attr_subsets=((0,), (0,)), seed=0)
+    forest = Model(kind="forest", params=LearnParams(), classes=(0, 1),
+                   attr_names=("a0",), trees=(leaf0, leaf1),
+                   attr_subsets=((0,), (0,)))
     inst = instance_from_cube(_cube([[1.0, 2.0, 3.0]]), "modal")
     assert predict_forest(forest, inst, "modal", 2) == 0
 
@@ -345,8 +363,7 @@ def test_model_round_trip_forest(tmp_path):
     rng = np.random.default_rng(37)
     ls = _random_ls(rng, m=8, T=3, n_attrs=4)
     params = LearnParams(n_trees=3, seed=(5, 2))
-    forest = learn_forest(ls, params)
-    model = model_from_forest(forest, params, ls.classes, ls.attr_names)
+    model = learn_forest(ls, params)
     path = tmp_path / "model.json"
     save_model(model, path)
     assert load_model(path) == model
