@@ -7,7 +7,7 @@ only the full interval (0, T).
 """
 from __future__ import annotations
 
-import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +19,6 @@ FEATURE_FNS = ("max", "min", "mean", "median", "std",
                "entropy_pairs", "transition_var", "stretch_high",
                "stretch_decr")
 FN_INDEX = {name: i for i, name in enumerate(FEATURE_FNS)}
-
-_NUMERIC_FNS = ("max", "min", "mean", "median", "std")
-_SYMBOLIC_FNS = ("entropy_pairs", "transition_var", "stretch_high",
-                 "stretch_decr")
 
 
 @dataclass(frozen=True)
@@ -36,69 +32,111 @@ class Atom:
 
 def compute_feature(fn, series, w):
     """Apply fn to the points covered by interval w = (x, y): series[x:y]."""
+    if fn not in FN_INDEX:
+        raise ValueError(f"unknown feature function {fn!r}")
+    values = np.asarray(series, dtype=np.float64)
     x, y = w
-    seg = np.asarray(series, dtype=np.float64)[x:y]
-    if seg.size == 0:
-        raise ValueError(f"interval {w} covers no points")
-    if fn == "max":
-        return float(np.max(seg))
-    if fn == "min":
-        return float(np.min(seg))
-    if fn == "mean":
-        return float(np.mean(seg))
-    if fn == "median":
-        return float(np.median(seg))
-    if fn == "std":
-        return float(np.std(seg, ddof=1)) if seg.size > 1 else 0.0
-    if seg.size == 1:
-        return 0.0
-    if fn == "entropy_pairs":
-        return _entropy_pairs(_bins3(seg))
-    if fn == "transition_var":
-        return _transition_var(_bins3(seg))
-    if fn == "stretch_high":
-        return float(_longest_run(seg > np.mean(seg)))
-    if fn == "stretch_decr":
-        return float(_longest_run(np.diff(seg) < 0.0))
-    raise ValueError(f"unknown feature function {fn!r}")
+    if not 0 <= x < y <= values.size:
+        raise ValueError(f"interval {w} covers no points of a series of "
+                         f"length {values.size}")
+    table = _feature_table(values[None, None], [w])
+    return float(table[0, FN_INDEX[fn], 0, 0])
 
 
-def _bins3(seg):
-    # three equal-width bins between the subseries min and max;
-    # a constant subseries maps everything to bin 0
-    lo = seg.min()
-    hi = seg.max()
-    if hi == lo:
-        return np.zeros(len(seg), dtype=np.int64)
-    idx = np.floor((seg - lo) / (hi - lo) * 3.0).astype(np.int64)
-    return np.minimum(idx, 2)
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
 
 
-def _entropy_pairs(bins):
-    # Shannon entropy (nats) of the consecutive bin-pair distribution
-    pairs = bins[:-1] * 3 + bins[1:]
-    counts = np.bincount(pairs, minlength=9).astype(np.float64)
-    p = counts[counts > 0.0] / counts.sum()
-    return float(-(p * np.log(p)).sum())
+def _feature_table(values, intervals):
+    """Every feature function over every interval of every series.
+
+    values has shape (m, n_attrs, T); the result has shape
+    (m, n_fns, n_attrs, len(intervals)).  Each interval is one numpy pass
+    over (instances, attributes, points).  Every reduction runs along the
+    last, contiguous axis, so each entry is bit-identical to the same
+    function applied to one series alone.
+    """
+    m, n_attrs, T = values.shape
+    need = m * len(FEATURE_FNS) * n_attrs * len(intervals) * 8
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(
+            f"the feature table for {m} instances with n_points={T} needs "
+            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
+            f"of physical memory")
+    table = np.empty((m, len(FEATURE_FNS), n_attrs, len(intervals)))
+    for col, (x, y) in enumerate(intervals):
+        seg = values[..., x:y]
+        out = table[..., col]
+        mean = seg.mean(axis=-1)
+        out[:, FN_INDEX["max"]] = seg.max(axis=-1)
+        out[:, FN_INDEX["min"]] = seg.min(axis=-1)
+        out[:, FN_INDEX["mean"]] = mean
+        out[:, FN_INDEX["median"]] = np.median(seg, axis=-1)
+        if y - x == 1:
+            out[:, FN_INDEX["std"]:] = 0.0
+            continue
+        out[:, FN_INDEX["std"]] = seg.std(axis=-1, ddof=1)
+        counts = _pair_counts(seg)
+        out[:, FN_INDEX["entropy_pairs"]] = _pair_entropy(counts, y - x - 1)
+        out[:, FN_INDEX["transition_var"]] = _transition_variance(counts)
+        out[:, FN_INDEX["stretch_high"]] = _longest_runs(seg > mean[..., None])
+        out[:, FN_INDEX["stretch_decr"]] = _longest_runs(
+            np.diff(seg, axis=-1) < 0.0)
+    return table
 
 
-def _transition_var(bins):
+def _pair_counts(seg):
+    # Counts (..., 9) of the consecutive bin pairs 3*a + b of each series,
+    # with three equal-width bins between the series' min and max; a
+    # constant series maps everything to bin 0.
+    lo = seg.min(axis=-1, keepdims=True)
+    span = seg.max(axis=-1, keepdims=True) - lo
+    scaled = (seg - lo) / np.where(span == 0.0, 1.0, span) * 3.0
+    bins = np.minimum(np.floor(scaled).astype(np.int64), 2)
+    pairs = bins[..., :-1] * 3 + bins[..., 1:]
+    return (pairs[..., None] == np.arange(9)).sum(axis=-2, dtype=np.float64)
+
+
+def _pair_entropy(counts, n_pairs):
+    # Shannon entropy (nats) of the pair distribution.  The nonzero terms
+    # are summed in the order np.sum takes them once the empty bins are
+    # dropped: one by one below 8 terms, else numpy's pairwise block of 8
+    # accumulators and then the ninth term.  Summing the 9 zero-padded
+    # terms directly would differ in the last bit.
+    hit = counts > 0.0
+    p = counts / n_pairs
+    terms = np.where(hit, p * np.log(np.where(hit, p, 1.0)), 0.0)
+    t = np.take_along_axis(terms, np.argsort(~hit, axis=-1, kind="stable"),
+                           axis=-1)
+    total = t[..., 0]
+    for j in range(1, 9):
+        total = total + t[..., j]
+    block = (((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]))
+             + ((t[..., 4] + t[..., 5]) + (t[..., 6] + t[..., 7]))) + t[..., 8]
+    return -np.where(hit.sum(axis=-1) >= 8, block, total)
+
+
+def _transition_variance(counts):
     # variance of the 9 transition probability entries; rows with no
     # outgoing transitions stay all zero
-    counts = np.zeros((3, 3))
-    np.add.at(counts, (bins[:-1], bins[1:]), 1.0)
-    rowsum = counts.sum(axis=1, keepdims=True)
-    probs = np.divide(counts, rowsum, out=np.zeros_like(counts),
-                      where=rowsum > 0.0)
-    return float(np.var(probs))
+    c = counts.reshape(counts.shape[:-1] + (3, 3))
+    rowsum = c.sum(axis=-1, keepdims=True)
+    probs = np.divide(c, rowsum, out=np.zeros_like(c), where=rowsum > 0.0)
+    return probs.reshape(counts.shape).var(axis=-1)
 
 
-def _longest_run(mask):
-    best = run = 0
-    for hit in mask:
-        run = run + 1 if hit else 0
-        if run > best:
-            best = run
+def _longest_runs(mask):
+    # length of the longest run of True along the last axis
+    run = np.zeros(mask.shape[:-1], dtype=np.int64)
+    best = run.copy()
+    for j in range(mask.shape[-1]):
+        run = np.where(mask[..., j], run + 1, 0)
+        np.maximum(best, run, out=best)
     return best
 
 
@@ -124,7 +162,6 @@ def compare(op, vals, threshold):
 
 @dataclass
 class LogisetInstance:
-    cube: FeatureCube
     label: int
     table: np.ndarray   # (n_fns, n_attrs, n_intervals)
     frame: object       # intervals.Frame naming the table columns
@@ -138,29 +175,6 @@ class LogisetInstance:
                 f"interval {w} is not in the precomputed table") from None
         return bool(compare(atom.op, atom_values(self.table, atom)[col],
                             atom.threshold))
-
-
-def _instance_table(values, intervals):
-    n_attrs, T = values.shape
-    table = np.empty((len(FEATURE_FNS), n_attrs, len(intervals)))
-    for col, (x, y) in enumerate(intervals):
-        seg = values[:, x:y]
-        npts = y - x
-        table[FN_INDEX["max"], :, col] = seg.max(axis=1)
-        table[FN_INDEX["min"], :, col] = seg.min(axis=1)
-        table[FN_INDEX["mean"], :, col] = seg.mean(axis=1)
-        table[FN_INDEX["median"], :, col] = np.median(seg, axis=1)
-        if npts > 1:
-            table[FN_INDEX["std"], :, col] = seg.std(axis=1, ddof=1)
-            for fn in _SYMBOLIC_FNS:
-                fi = FN_INDEX[fn]
-                for a in range(n_attrs):
-                    table[fi, a, col] = compute_feature(fn, values[a], (x, y))
-        else:
-            table[FN_INDEX["std"], :, col] = 0.0
-            for fn in _SYMBOLIC_FNS:
-                table[FN_INDEX[fn], :, col] = 0.0
-    return table
 
 
 @dataclass
@@ -182,9 +196,8 @@ def instance_from_cube(cube, mode, label=-1):
     """Standalone instance with its own table, for prediction on new data."""
     T = cube.values.shape[1]
     f = frame(mode, T)
-    return LogisetInstance(cube=cube, label=label,
-                           table=_instance_table(cube.values, f.intervals),
-                           frame=f, T=T)
+    table = _feature_table(cube.values[None], f.intervals)[0]
+    return LogisetInstance(label=label, table=table, frame=f, T=T)
 
 
 def build_logiset(cubes, labels, mode="modal", classes=None):
@@ -215,12 +228,9 @@ def build_logiset(cubes, labels, mode="modal", classes=None):
         if lab not in class_id:
             raise ValueError(f"label {lab!r} missing from the class vocabulary")
     f = frame(mode, T)
-    table = np.empty((len(cubes), len(FEATURE_FNS), len(names),
-                      len(f.intervals)))
-    instances = []
-    for i, (cube, lab) in enumerate(zip(cubes, labels)):
-        table[i] = _instance_table(cube.values, f.intervals)
-        instances.append(LogisetInstance(cube=cube, label=class_id[lab],
-                                         table=table[i], frame=f, T=T))
+    table = _feature_table(np.stack([c.values for c in cubes]), f.intervals)
+    instances = [LogisetInstance(label=class_id[lab], table=table[i],
+                                 frame=f, T=T)
+                 for i, lab in enumerate(labels)]
     return Logiset(instances=instances, classes=classes, T=T, mode=mode,
                    attr_names=names, frame=f, table=table)

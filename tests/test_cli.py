@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from symaudio import cli
-from symaudio.cubefile import load_cube_file
+from symaudio import cli, logiset
+from symaudio.cubefile import load_cube_file, write_cube_file
 from symaudio.trees import load_model, predict_model
 from symaudio.logiset import FeatureCube
 
@@ -274,6 +274,18 @@ def test_crafted_cube_header_is_data_error(tmp_path, capsys):
     bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     assert cli.main(["train", str(bad)]) == 2
     assert "data error:" in capsys.readouterr().err
+
+
+def test_oversized_table_is_data_error(tmp_path, monkeypatch, capsys):
+    cube = tmp_path / "small.cube"
+    write_cube_file(str(cube), ("a", "b"), ("lo", "hi"),
+                    np.arange(32.0).reshape(4, 2, 4), [0, 1, 0, 1])
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    monkeypatch.setattr(logiset, "_physical_memory", lambda: 1024)
+    assert cli.main(["evaluate", str(cube), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "n_points=4" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_benchmark_trace_hooks_resolve():

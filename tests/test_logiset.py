@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
+import scalar_features
+from symaudio import logiset
 from symaudio.audio import FeatureCube
 from symaudio.intervals import enumerate_intervals
 from symaudio.logiset import (Atom, FEATURE_FNS, FN_INDEX, build_logiset,
@@ -53,6 +55,10 @@ def test_length_one_degenerates():
 def test_empty_interval_rejected():
     with pytest.raises(ValueError):
         compute_feature("max", [1.0, 2.0], (2, 2))
+    with pytest.raises(ValueError):
+        compute_feature("max", [1.0, 2.0], (1, 3))
+    with pytest.raises(ValueError):
+        compute_feature("nope", [1.0, 2.0], (1, 2))
 
 
 def test_feature_fns_match_scalar_oracle():
@@ -95,8 +101,73 @@ def test_table_fidelity():
         fn = FEATURE_FNS[int(rng.integers(9))]
         attr = int(rng.integers(3))
         w = ivs[int(rng.integers(len(ivs)))]
-        direct = compute_feature(fn, values[attr], w)
+        direct = scalar_features.compute_feature(fn, values[attr], w)
         assert inst.table[FN_INDEX[fn], attr, inst.frame.index[w]] == direct
+        assert compute_feature(fn, values[attr], w) == direct
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _assert_tables_match_reference(values, mode):
+    cubes = [_cube(v) for v in values]
+    ls = build_logiset(cubes, [0] * len(cubes), mode=mode)
+    want = scalar_features.reference_table(values, ls.frame.intervals)
+    assert _same_bits(ls.table, want)
+    for cube, row in zip(cubes, want):
+        assert _same_bits(instance_from_cube(cube, mode).table, row)
+
+
+def _pair_rich(rng, m, n, T):
+    # a walk through all nine bin pairs: every interval of at least 9 points
+    # sees >= 8 distinct pairs, the case where np.sum switches from
+    # one-by-one to blocked summation of the entropy terms
+    walk = np.array([0, 0, 1, 1, 2, 2, 0, 2, 1, 0], dtype=np.float64)
+    base = np.resize(walk, (m, n, T)) + rng.uniform(0.0, 0.1, (m, n, T))
+    return base * rng.uniform(0.5, 2.0, (m, n, 1))
+
+
+@pytest.mark.parametrize("mode", ["modal", "propositional"])
+@pytest.mark.parametrize("T", [2, 3, 5, 8, 9, 12, 20])
+def test_table_matches_scalar_reference_bitwise(mode, T):
+    rng = np.random.default_rng(T)
+    m, n = 3, 4
+    rich = _pair_rich(rng, m, n, T)
+    if T >= 9:
+        bins = scalar_features._bins3(rich[0, 0, :9])
+        assert len(set(zip(bins[:-1], bins[1:]))) == 8
+    for values in (rng.normal(size=(m, n, T)),
+                   np.round(rng.normal(size=(m, n, T)) * 2.0) / 2.0,
+                   np.full((m, n, T), -1.75),
+                   rich):
+        _assert_tables_match_reference(values, mode)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 14),
+       st.sampled_from(["modal", "propositional"]), st.data())
+def test_table_matches_scalar_reference_property(m, n, T, mode, data):
+    # a few levels make ties, constant runs and repeated pairs common
+    levels = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5])
+    flat = data.draw(st.lists(levels, min_size=m * n * T,
+                              max_size=m * n * T))
+    _assert_tables_match_reference(np.reshape(flat, (m, n, T)), mode)
+
+
+def test_table_size_guard(monkeypatch):
+    # 4 instances x 9 functions x 3 attributes x 15 intervals x 8 bytes
+    need = 4 * 9 * 3 * 15 * 8
+    cubes = [_cube(np.zeros((3, 5))) for _ in range(4)]
+    monkeypatch.setattr(logiset, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"4 instances with n_points=5"):
+        build_logiset(cubes, [0, 1, 0, 1])
+    monkeypatch.setattr(logiset, "_physical_memory", lambda: need // 4 - 1)
+    with pytest.raises(ValueError, match=r"1 instances with n_points=5"):
+        instance_from_cube(cubes[0], "modal")
+    monkeypatch.setattr(logiset, "_physical_memory", lambda: need)
+    assert build_logiset(cubes, [0, 1, 0, 1]).table.nbytes == need
+    monkeypatch.setattr(logiset, "_physical_memory", lambda: None)
+    assert build_logiset(cubes, [0, 1, 0, 1]).table.nbytes == need
 
 
 def test_atom_eval_examples():
