@@ -14,8 +14,8 @@ from .cubefile import CubeFile, CubeFileError, load_cube_file, write_cube_file
 from .evaluation import (MetricsReport, Rule, balanced_holdout, cohen_kappa,
                          confusion_matrix, evaluate, extract_rules,
                          leaf_count, rule_metrics)
-from .intervals import (RELATIONS, And, Box, Diamond, Not, Or, accessible,
-                        check, enumerate_intervals, format_formula,
+from .intervals import (RELATIONS, And, Box, Diamond, Not, Or, check,
+                        enumerate_intervals, format_formula, holds,
                         parse_formula, relates)
 from .logiset import (FEATURE_FNS, Atom, Logiset, build_logiset,
                       compute_feature, instance_from_cube)

@@ -98,7 +98,11 @@ class _Cursor:
         return struct.unpack("<I", self.take(4))[0]
 
     def string(self):
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CubeFileError("cube file holds a name that is not "
+                                "UTF-8") from None
 
 
 def load_cube_file(path):

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
 
 import numpy as np
 
@@ -72,14 +71,12 @@ class Frame:
     """The worlds of one mode and series length.
 
     R[rel][i, j] is true iff intervals[j] is reachable from intervals[i]
-    under rel; the matrices are read-only.  successors[rel][i] lists the
-    same reachable intervals as a tuple, for pointwise model checking.
-    Modal frames hold every interval, the propositional frame only (0, T).
+    under rel; the matrices are read-only.  Modal frames hold every
+    interval, the propositional frame only (0, T).
     """
     intervals: tuple
     index: dict           # interval -> column
     R: dict               # relation -> (I, I) bool matrix
-    successors: dict      # relation -> per column, tuple of intervals
 
     def reach(self, rel, worlds):
         """Worlds reachable under rel from any world of each boolean row."""
@@ -100,27 +97,14 @@ def frame(mode, T):
     else:
         raise ValueError(
             f"mode must be propositional or modal, got {mode!r}")
-    R, successors = {}, {}
+    R = {}
     for rel in RELATIONS:
         matrix = np.array([[relates(rel, w, v) for v in intervals]
                            for w in intervals], dtype=bool)
         matrix.setflags(write=False)
         R[rel] = matrix
-        successors[rel] = tuple(tuple(compress(intervals, row))
-                                for row in matrix)
     return Frame(intervals=intervals,
-                 index={w: i for i, w in enumerate(intervals)}, R=R,
-                 successors=successors)
-
-
-def accessible(rel, w, T):
-    """Intervals reachable from w under rel, in lexicographic order."""
-    f = frame("modal", T)
-    try:
-        return f.successors[rel][f.index[w]]
-    except KeyError:
-        raise ValueError(
-            f"no {rel!r} successors of {w!r} over {T} points") from None
+                 index={w: i for i, w in enumerate(intervals)}, R=R)
 
 
 # --- formulas ---------------------------------------------------------------
@@ -152,24 +136,45 @@ class Box:
     sub: object
 
 
-def check(phi, inst, w):
-    """Satisfaction of phi on instance inst at interval w, by recursion.
+def holds(phi, inst):
+    """Truth of phi at every world of inst.frame, as a boolean row.
 
-    Atoms are any leaf object the instance can evaluate (inst.eval_atom).
-    <R> is an existential sweep over accessible(R, w), [R] a universal one.
+    Atoms are any leaf object with fn, attr, op and threshold fields, looked
+    up in inst.table.  <R>phi holds where some R-successor satisfies phi,
+    which are the worlds reached from phi's worlds under the inverse of R;
+    [R]phi is !<R>!phi.
     """
-    T = inst.T
-    if isinstance(phi, Not):
-        return not check(phi.sub, inst, w)
-    if isinstance(phi, And):
-        return all(check(p, inst, w) for p in phi.parts)
-    if isinstance(phi, Or):
-        return any(check(p, inst, w) for p in phi.parts)
-    if isinstance(phi, Diamond):
-        return any(check(phi.sub, inst, v) for v in accessible(phi.rel, w, T))
-    if isinstance(phi, Box):
-        return all(check(phi.sub, inst, v) for v in accessible(phi.rel, w, T))
-    return inst.eval_atom(phi, w)
+    from .logiset import atom_values, compare
+
+    f = inst.frame
+
+    def ev(phi):
+        if isinstance(phi, Not):
+            return ~ev(phi.sub)
+        if isinstance(phi, (And, Or)):
+            rows = np.reshape([ev(p) for p in phi.parts],
+                              (len(phi.parts), len(f.intervals)))
+            if isinstance(phi, And):
+                return rows.all(axis=0)
+            return rows.any(axis=0)
+        # an unknown relation has no inverse and is left for reach to name
+        if isinstance(phi, Diamond):
+            return f.reach(INVERSE.get(phi.rel, phi.rel), ev(phi.sub))
+        if isinstance(phi, Box):
+            return ~f.reach(INVERSE.get(phi.rel, phi.rel), ~ev(phi.sub))
+        return compare(phi.op, atom_values(inst.table, phi), phi.threshold)
+
+    return ev(phi)
+
+
+def check(phi, inst, w):
+    """Satisfaction of phi on instance inst at interval w."""
+    try:
+        col = inst.frame.index[w]
+    except KeyError:
+        raise ValueError(
+            f"interval {w} is not a world of the instance's frame") from None
+    return bool(holds(phi, inst)[col])
 
 
 # --- text syntax ------------------------------------------------------------

@@ -167,15 +167,6 @@ class LogisetInstance:
     frame: object       # intervals.Frame naming the table columns
     T: int
 
-    def eval_atom(self, atom, w):
-        try:
-            col = self.frame.index[w]
-        except KeyError:
-            raise ValueError(
-                f"interval {w} is not in the precomputed table") from None
-        return bool(compare(atom.op, atom_values(self.table, atom)[col],
-                            atom.threshold))
-
 
 @dataclass
 class Logiset:

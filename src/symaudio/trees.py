@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class LearnParams:
     def __post_init__(self):
         if self.mode not in ("propositional", "modal"):
             raise ValueError(f"bad mode {self.mode!r}")
-        if self.min_gain < 0 or self.max_leaf_entropy < 0:
+        if not (self.min_gain >= 0 and self.max_leaf_entropy >= 0):
             raise ValueError("min_gain and max_leaf_entropy must be >= 0")
         if not (0.0 < self.instance_frac <= 1.0 and 0.0 < self.attr_frac <= 1.0):
             raise ValueError("sampling fractions must be in (0, 1]")
@@ -69,6 +70,13 @@ class LearnParams:
         for fn in self.functions:
             if fn not in FEATURE_FNS:
                 raise ValueError(f"bad feature function {fn!r} in params")
+        if not (isinstance(self.n_trees, Integral) and self.n_trees >= 1):
+            raise ValueError(f"bad n_trees {self.n_trees!r} in params")
+        seed = self.seed if isinstance(self.seed, (tuple, list)) else \
+            (self.seed,)
+        if not seed or \
+                not all(isinstance(s, Integral) and s >= 0 for s in seed):
+            raise ValueError(f"bad seed {self.seed!r} in params")
 
 
 @dataclass(frozen=True)
@@ -355,16 +363,27 @@ def _node_to_dict(node, classes, attr_names):
     }
 
 
-def _node_from_dict(doc, class_index, name_index):
+def _node_from_dict(doc, model, depth):
     if "leaf" in doc:
-        return Leaf(class_id=class_index[doc["leaf"]],
+        if doc["leaf"] not in model.classes:
+            raise ValueError(f"leaf names unknown class {doc['leaf']!r}")
+        return Leaf(class_id=model.classes.index(doc["leaf"]),
                     histogram=tuple(doc["histogram"]))
     d = doc["decision"]
-    atom = Atom(fn=d["fn"], attr=name_index[d["attr_name"]], op=d["op"],
-                threshold=float(d["threshold"]))
+    if d["attr_name"] not in model.attr_names:
+        raise ValueError(f"decision names unknown attribute "
+                         f"{d['attr_name']!r}")
+    threshold = float(d["threshold"])
+    # a decision must be one the model's own parameters let the learner make
+    if d["relation"] not in _node_relations(model.params, depth) or \
+            d["fn"] not in model.params.functions or \
+            d["op"] not in ("<=", ">=") or not math.isfinite(threshold):
+        raise ValueError(f"bad decision {d!r} at depth {depth}")
+    atom = Atom(fn=d["fn"], attr=model.attr_names.index(d["attr_name"]),
+                op=d["op"], threshold=threshold)
     return Split(decision=Decision(d["relation"], atom),
-                 left=_node_from_dict(doc["left"], class_index, name_index),
-                 right=_node_from_dict(doc["right"], class_index, name_index))
+                 left=_node_from_dict(doc["left"], model, depth + 1),
+                 right=_node_from_dict(doc["right"], model, depth + 1))
 
 
 def model_to_dict(model):
@@ -389,10 +408,22 @@ def model_to_dict(model):
 
 
 def model_from_dict(doc):
+    """Rebuild a model from its JSON document; ValueError if it is malformed."""
+    try:
+        return _model_from_dict(doc)
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ValueError(f"malformed model document: {e!r}") from None
+
+
+def _model_from_dict(doc):
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError("unsupported model schema version")
     p = doc["params"]
     seed = p["seed"]
+    for value in (seed, p["relations"], p["functions"], doc["classes"],
+                  doc["attr_names"], doc["trees"], doc["attr_subsets"]):
+        if not isinstance(value, list):
+            raise ValueError(f"model document holds {value!r}, not a list")
     params = LearnParams(mode=p["mode"], min_gain=p["min_gain"],
                          max_leaf_entropy=p["max_leaf_entropy"],
                          relations=tuple(p["relations"]),
@@ -401,15 +432,16 @@ def model_from_dict(doc):
                          instance_frac=p["instance_frac"],
                          attr_frac=p["attr_frac"],
                          seed=seed[0] if len(seed) == 1 else tuple(seed))
-    classes = tuple(doc["classes"])
-    attr_names = tuple(doc["attr_names"])
-    class_index = {c: i for i, c in enumerate(classes)}
-    name_index = {n: i for i, n in enumerate(attr_names)}
-    trees = tuple(_node_from_dict(t, class_index, name_index)
-                  for t in doc["trees"])
-    return Model(kind=doc["kind"], params=params, classes=classes,
-                 attr_names=attr_names, trees=trees,
-                 attr_subsets=tuple(tuple(s) for s in doc["attr_subsets"]))
+    if doc["kind"] not in ("tree", "forest") or not doc["trees"] or \
+            (doc["kind"] == "tree" and len(doc["trees"]) != 1):
+        raise ValueError(f"a {doc['kind']!r} model cannot hold "
+                         f"{len(doc['trees'])} trees")
+    model = Model(kind=doc["kind"], params=params,
+                  classes=tuple(doc["classes"]),
+                  attr_names=tuple(doc["attr_names"]), trees=(),
+                  attr_subsets=tuple(tuple(s) for s in doc["attr_subsets"]))
+    return replace(model, trees=tuple(_node_from_dict(t, model, 0)
+                                      for t in doc["trees"]))
 
 
 def model_to_json(model):

@@ -1,9 +1,13 @@
 """Cube container format and experiment config files."""
 import struct
+import tempfile
 import zlib
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symaudio.config import (ConfigError, ExperimentConfig, learn_params_from,
                              load_config, parse_config, serialize_config)
@@ -73,6 +77,38 @@ def test_cube_detects_truncation_and_trailing_bytes(tmp_path):
     path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
     with pytest.raises(CubeFileError, match="truncated"):
         load_cube_file(path)
+
+
+@lru_cache(maxsize=None)
+def _small_cube_bytes():
+    # names and classes make up most of the bytes, so most mutations land
+    # in the strings the loader decodes
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "small.cube"
+        write_cube_file(path, ("spectral_centroid", "zero_crossing_rate"),
+                        ("speech_sample", "background_noise"),
+                        np.array([[[0.5], [-1.25]]]), [1])
+        return path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_cube_mutations_raise_only_cube_errors(data):
+    body = bytearray(_small_cube_bytes()[:-4])
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(body) - 1),
+                                         st.integers(0, 255)),
+                               min_size=1, max_size=4))
+    for pos, byte in edits:
+        body[pos] = byte
+    # refresh the CRC32 trailer so the mutation reaches the parser
+    raw = bytes(body) + struct.pack("<I", zlib.crc32(body))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "mutated.cube"
+        path.write_bytes(raw)
+        try:
+            load_cube_file(path)
+        except CubeFileError:
+            pass
 
 
 def test_cube_rejects_wrong_magic(tmp_path):

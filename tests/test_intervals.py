@@ -1,13 +1,15 @@
 """Interval domain, accessibility relations, and the model checker."""
+from itertools import compress
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import oracles
 from symaudio.audio import FeatureCube
-from symaudio.intervals import (And, Box, Diamond, Not, Or, RELATIONS,
-                                accessible, check, enumerate_intervals,
-                                format_formula, parse_formula, relates)
+from symaudio.intervals import (And, Box, Diamond, Not, Or, RELATIONS, check,
+                                enumerate_intervals, format_formula, frame,
+                                parse_formula, relates)
 from symaudio.logiset import Atom, instance_from_cube
 
 
@@ -84,20 +86,26 @@ def test_directional_relations_partition_distinct_pairs():
                 assert relates("G", w, v)
 
 
+def _successors(rel, w, T):
+    # the intervals reachable from w under rel: w's row of the frame matrix
+    f = frame("modal", T)
+    return tuple(compress(f.intervals, f.R[rel][f.index[w]]))
+
+
 def test_accessible_examples():
-    assert list(accessible("G", (0, 1), 5)) == enumerate_intervals(5)
-    assert accessible("Id", (1, 3), 5) == ((1, 3),)
-    assert accessible("L", (0, 2), 5) == ((3, 4), (3, 5), (4, 5))
+    assert list(_successors("G", (0, 1), 5)) == enumerate_intervals(5)
+    assert _successors("Id", (1, 3), 5) == ((1, 3),)
+    assert _successors("L", (0, 2), 5) == ((3, 4), (3, 5), (4, 5))
     # nothing starts strictly after endpoint 4 within 0..5
-    assert accessible("L", (0, 4), 5) == ()
-    assert accessible("DBE", (0, 2), 5) == ((0, 1), (1, 2))
+    assert _successors("L", (0, 4), 5) == ()
+    assert _successors("DBE", (0, 2), 5) == ((0, 1), (1, 2))
 
 
 def test_accessible_matches_oracle():
     for T in range(1, 7):
         for w in enumerate_intervals(T):
             for rel in RELATIONS:
-                assert list(accessible(rel, w, T)) == \
+                assert list(_successors(rel, w, T)) == \
                     oracles.o_accessible(rel, w, T)
 
 
@@ -134,6 +142,35 @@ def test_check_connectives():
     assert not check(And((lo, Not(hi))), inst, w)
     assert check(And(()), inst, w)       # empty conjunction is true
     assert not check(Or(()), inst, w)    # empty disjunction is false
+
+
+def test_check_quantifies_over_the_instance_frame():
+    # a propositional instance has the one world (0, T): G reaches only it,
+    # L reaches nothing
+    cube = FeatureCube(("a0",), np.array([[1.0, 2.0, 3.0]]))
+    inst = instance_from_cube(cube, "propositional")
+    w = (0, 3)
+    for threshold in (2.0, 9.0):
+        phi = Atom(fn="mean", attr=0, op=">=", threshold=threshold)
+        assert check(phi, inst, w) == (threshold == 2.0)
+        assert check(Diamond("G", phi), inst, w) == check(phi, inst, w)
+        assert check(Box("G", phi), inst, w) == check(phi, inst, w)
+        assert not check(Diamond("L", phi), inst, w)
+        assert check(Box("L", phi), inst, w)
+    # a world outside the instance's frame is an error for every formula
+    modal = _instance([[0, 1, 0, 1]])
+    for phi in (And(()), Or(()), Not(And(()))):
+        with pytest.raises(ValueError):
+            check(phi, modal, (0, 99))
+    with pytest.raises(ValueError):
+        check(And(()), inst, (0, 2))
+
+
+def test_check_unknown_relation_rejected():
+    inst = _instance([[0, 1, 0, 1]])
+    for cls in (Diamond, Box):
+        with pytest.raises(ValueError, match="unknown relation"):
+            check(cls("Q", And(())), inst, (0, 4))
 
 
 def _random_formula(rng, depth):

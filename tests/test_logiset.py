@@ -7,7 +7,7 @@ import oracles
 import scalar_features
 from symaudio import logiset
 from symaudio.audio import FeatureCube
-from symaudio.intervals import enumerate_intervals
+from symaudio.intervals import check, enumerate_intervals
 from symaudio.logiset import (Atom, FEATURE_FNS, FN_INDEX, build_logiset,
                               compute_feature, instance_from_cube)
 
@@ -172,37 +172,36 @@ def test_table_size_guard(monkeypatch):
 
 def test_atom_eval_examples():
     inst = instance_from_cube(_cube([[1.0, 2.0, 3.0]]), "modal")
-    assert inst.eval_atom(Atom(fn="mean", attr=0, op=">=", threshold=2.0),
-                          (0, 3))
-    assert not inst.eval_atom(Atom(fn="max", attr=0, op="<=", threshold=0.0),
-                              (0, 3))
+    assert check(Atom(fn="mean", attr=0, op=">=", threshold=2.0), inst,
+                 (0, 3))
+    assert not check(Atom(fn="max", attr=0, op="<=", threshold=0.0), inst,
+                     (0, 3))
     near = instance_from_cube(_cube([[1.5, 1.6, 1.4]]), "modal")
-    assert near.eval_atom(Atom(fn="min", attr=0, op=">=", threshold=1.46),
-                          (0, 2))
-    assert not near.eval_atom(Atom(fn="min", attr=0, op=">=",
-                                   threshold=1.46), (0, 3))
+    assert check(Atom(fn="min", attr=0, op=">=", threshold=1.46), near,
+                 (0, 2))
+    assert not check(Atom(fn="min", attr=0, op=">=", threshold=1.46), near,
+                     (0, 3))
 
 
 def test_atom_eval_errors():
     inst = instance_from_cube(_cube([[1.0, 2.0, 3.0]]), "modal")
     with pytest.raises(ValueError):
-        inst.eval_atom(Atom(fn="max", attr=0, op=">=", threshold=0.0), (0, 9))
+        check(Atom(fn="max", attr=0, op=">=", threshold=0.0), inst, (0, 9))
     with pytest.raises(ValueError):
-        inst.eval_atom(Atom(fn="nope", attr=0, op=">=", threshold=0.0), (0, 2))
+        check(Atom(fn="nope", attr=0, op=">=", threshold=0.0), inst, (0, 2))
     with pytest.raises(ValueError):
-        inst.eval_atom(Atom(fn="max", attr=5, op=">=", threshold=0.0), (0, 2))
+        check(Atom(fn="max", attr=5, op=">=", threshold=0.0), inst, (0, 2))
     with pytest.raises(ValueError):
-        inst.eval_atom(Atom(fn="max", attr=0, op="==", threshold=0.0), (0, 2))
+        check(Atom(fn="max", attr=0, op="==", threshold=0.0), inst, (0, 2))
 
 
 def test_propositional_instance_only_has_full_interval():
     inst = instance_from_cube(_cube([[1.0, 2.0, 3.0]]), "propositional")
     assert inst.frame.intervals == ((0, 3),)
-    assert inst.eval_atom(Atom(fn="mean", attr=0, op=">=", threshold=2.0),
-                          (0, 3))
+    assert check(Atom(fn="mean", attr=0, op=">=", threshold=2.0), inst,
+                 (0, 3))
     with pytest.raises(ValueError):
-        inst.eval_atom(Atom(fn="mean", attr=0, op=">=", threshold=2.0),
-                       (0, 2))
+        check(Atom(fn="mean", attr=0, op=">=", threshold=2.0), inst, (0, 2))
 
 
 series = st.lists(st.integers(-8, 8).map(lambda k: k / 4.0),

@@ -393,6 +393,79 @@ def test_model_schema_version_checked():
         model_from_dict(doc)
 
 
+def _edit(path, value=None, drop=False):
+    """A mutation that sets (or drops) doc[path[0]][path[1]]...; it
+    returns the edited document."""
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        if drop:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        return doc
+    return mutate
+
+
+def _unknown_leaf_class(doc):
+    node = doc["trees"][0]
+    while "leaf" not in node:
+        node = node["left"]
+    node["leaf"] = "no-such-class"
+    return doc
+
+
+def _two_trees(doc):
+    doc["trees"].append(doc["trees"][0])
+    return doc
+
+
+ROOT = ("trees", 0, "decision")
+MALFORMED_MODELS = {
+    "not an object": lambda doc: [doc],
+    "missing params": _edit(("params",), drop=True),
+    "missing trees": _edit(("trees",), drop=True),
+    "missing decision op": _edit(ROOT + ("op",), drop=True),
+    "unknown leaf class": _unknown_leaf_class,
+    "unknown attr_name": _edit(ROOT + ("attr_name",), "zzz"),
+    "trees not a list": _edit(("trees",), 5),
+    "trees an object": lambda doc: _edit(("trees",), doc["trees"][0])(doc),
+    "classes a string": _edit(("classes",), "ab"),
+    "NaN threshold": _edit(ROOT + ("threshold",), float("nan")),
+    "infinite threshold": _edit(ROOT + ("threshold",), float("inf")),
+    "text threshold": _edit(ROOT + ("threshold",), "high"),
+    "bogus kind": _edit(("kind",), "bogus"),
+    "empty trees": _edit(("trees",), []),
+    "tree kind with two trees": _two_trees,
+    "empty seed": _edit(("params", "seed"), []),
+    "negative seed": _edit(("params", "seed"), [-1]),
+    "NaN min_gain": _edit(("params", "min_gain"), float("nan")),
+    "zero n_trees": _edit(("params", "n_trees"), 0),
+    "bad params mode": _edit(("params", "mode"), "sideways"),
+    "relation Q": _edit(ROOT + ("relation",), "Q"),
+    "relation L at the modal root": _edit(ROOT + ("relation",), "L"),
+    "function nope": _edit(ROOT + ("fn",), "nope"),
+    "op ==": _edit(ROOT + ("op",), "=="),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MODELS))
+def test_malformed_model_document_rejected(case):
+    rng = np.random.default_rng(47)
+    ls = _random_ls(rng, m=8, T=3, n_attrs=2)
+    params = LearnParams(min_gain=0.0, max_leaf_entropy=0.0)
+    model = model_from_tree(learn_tree(ls, params), params, ls.classes,
+                            ls.attr_names)
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    assert "decision" in doc["trees"][0]
+    assert model_from_dict(json.loads(json.dumps(doc))) == model
+    # Python's json reads NaN and Infinity, so a model file can hold them
+    bad = json.loads(json.dumps(MALFORMED_MODELS[case](doc)))
+    with pytest.raises(ValueError):
+        model_from_dict(bad)
+
+
 def test_predict_model_validates_attrs():
     ls = _ls([[[0, 0, 0]], [[1, 1, 1]]], [0, 1])
     params = LearnParams()
