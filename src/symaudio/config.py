@@ -6,6 +6,7 @@ parse(serialize(cfg)) reproduces cfg exactly.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .intervals import RELATIONS
@@ -78,20 +79,18 @@ def _coerce(key, value):
         except ValueError:
             raise ConfigError(f"{key} must be an integer, got {value!r}") \
                 from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}") \
-                from None
-    if key in _OPT_FLOAT_KEYS:
-        if value.lower() in ("", "none"):
+    if key in _FLOAT_KEYS or key in _OPT_FLOAT_KEYS:
+        if key in _OPT_FLOAT_KEYS and value.lower() in ("", "none"):
             return None
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
-            raise ConfigError(f"{key} must be a number or none, "
-                              f"got {value!r}") from None
+            number = math.nan
+        if not math.isfinite(number):
+            raise ConfigError(f"{key} must be a finite number"
+                              f"{' or none' if key in _OPT_FLOAT_KEYS else ''}"
+                              f", got {value!r}")
+        return number
     if key in _BOOL_KEYS:
         if value.lower() == "true":
             return True
@@ -145,8 +144,14 @@ def validate_config(cfg):
     if cfg.bandpass_low is not None:
         if not 0.0 < cfg.bandpass_low < cfg.bandpass_high:
             bad("bandpass edges must satisfy 0 < low < high")
-    if cfg.clip_seconds is not None and cfg.clip_seconds <= 0:
-        bad("clip_seconds must be positive when set")
+    if cfg.clip_seconds is not None:
+        try:
+            n_samples = round(cfg.clip_seconds * cfg.resample_hz)
+        except OverflowError:
+            n_samples = 0
+        if n_samples < 1:
+            bad(f"clip_seconds={cfg.clip_seconds} at resample_hz="
+                f"{cfg.resample_hz} is not a usable sample count")
     if cfg.trim_frame_ms <= 0:
         bad("trim_frame_ms must be positive")
     if cfg.trim_threshold_db <= 0:

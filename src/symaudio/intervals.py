@@ -11,6 +11,7 @@ A set of worlds is a boolean row over the frame's intervals.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -239,7 +240,11 @@ def _tokenize(text):
 
 
 def parse_formula(text, attr_names):
-    """Parse the textual syntax back into a formula over named attributes."""
+    """Parse the textual syntax back into a formula over named attributes.
+
+    Raises ValueError for text that is not a formula, including one nested
+    too deeply to parse or with a threshold that is not finite.
+    """
     from .logiset import FEATURE_FNS, Atom
 
     name_index = {n: i for i, n in enumerate(attr_names)}
@@ -287,6 +292,8 @@ def parse_formula(text, attr_names):
         take("sym", ")")
         op = take("op")
         num = float(take("num"))
+        if not math.isfinite(num):
+            raise ValueError(f"threshold {num} is not finite")
         return Atom(fn=fn, attr=name_index[attr], op=op, threshold=num)
 
     def conj():
@@ -303,7 +310,10 @@ def parse_formula(text, attr_names):
             parts.append(conj())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
-    out = formula()
+    try:
+        out = formula()
+    except RecursionError:
+        raise ValueError("formula nests too deeply") from None
     if pos[0] != len(toks):
         raise ValueError("trailing tokens in formula")
     return out

@@ -135,6 +135,89 @@ def _gain(parent_h, left_hist, right_hist, total, ent_cache):
     return parent_h - (nl * h(left_hist) + nr * h(right_hist)) / total
 
 
+def _class_runs(parent_hist, limit):
+    """Split the classes into runs whose mixed-radix code range is <= limit.
+
+    A left histogram with counts l_c <= n_c (n_c the node's count of class
+    c) has the code sum(l_c * radix[c]) in each run, radix[c] being the
+    product of (n_c' + 1) over the classes c' before c in its run.  Returns
+    (radix, run, ranges): run[c] is the run holding class c and ranges[g]
+    the code range of run g.  One run covers every class unless its codes
+    would pass limit.
+    """
+    radix = np.ones(len(parent_hist), dtype=np.int64)
+    run = np.zeros(len(parent_hist), dtype=np.intp)
+    ranges = [1]
+    for c, n in enumerate(parent_hist):
+        if ranges[-1] * (n + 1) > limit:
+            ranges.append(1)
+        radix[c] = ranges[-1]
+        run[c] = len(ranges) - 1
+        ranges[-1] *= n + 1
+    return radix, run, ranges
+
+
+def _block_best(vals, reach, weight, ranges, gains_of):
+    """The best candidate of one (relation, function) block, or None.
+
+    vals (m, attrs, worlds) holds the block's feature values, reach (m,
+    worlds) each instance's reachable worlds and weight (runs, m) each
+    instance's class digit weight per run.  gains_of maps the run codes
+    (runs, n) of n distinct left histograms to their gains.  Returns (gain,
+    attr position, op, threshold) of the first top-gain candidate in
+    (attr, op, threshold) order.
+    """
+    m, n_attrs = vals.shape[:2]
+    lo = vals.min(axis=2, where=reach[:, None, :], initial=np.inf).T
+    hi = vals.max(axis=2, where=reach[:, None, :], initial=-np.inf).T
+    pool = vals.transpose(1, 0, 2)[:, reach]   # (attrs, pool), no padding
+    pool.sort(axis=1)
+    n_pool = pool.shape[1]
+    # Merge each attribute's instances into its pool, stably and instances
+    # first: the instances ahead of a pool value v are those with min <= v
+    # (op <=) or, over negated values with the pool reversed, those with
+    # max >= v (op >=).
+    merged = np.empty((n_attrs, 2, m + n_pool))
+    merged[:, 0, :m], merged[:, 0, m:] = lo, pool
+    merged[:, 1, :m] = -hi
+    np.negative(pool[:, ::-1], out=merged[:, 1, m:])
+    n_true = np.flatnonzero(np.argsort(merged, axis=2, kind="stable") >= m)
+    del merged
+    n_true %= m + n_pool
+    n_true = n_true.reshape(n_attrs, 2, n_pool)
+    n_true -= np.arange(n_pool)
+    n_true[:, 1] = n_true[:, 1, ::-1].copy()
+    # those instances are a prefix of the instances sorted the same way, so
+    # prefix sums of their class weights are the left histograms' codes
+    by = np.argsort(np.stack([lo, -hi], axis=1), axis=2)
+    cum = np.zeros((len(ranges), n_attrs, 2, m + 1), dtype=np.int64)
+    np.cumsum(weight[:, by], axis=3, out=cum[..., 1:])
+    codes = np.take_along_axis(cum, n_true[None], axis=3)
+    # rank-compress the code before adding the next run's digits
+    code, steps = codes[0], []
+    for g in range(1, len(ranges)):
+        uniq, rank = np.unique(code, return_inverse=True)
+        steps.append(uniq)
+        code = rank.reshape(code.shape) * ranges[g] + codes[g]
+    # repeated pool values and splits with an empty side are no candidates
+    repeat = np.zeros(pool.shape, dtype=bool)
+    repeat[:, 1:] = pool[:, 1:] == pool[:, :-1]
+    code[repeat[:, None, :] | (n_true == 0) | (n_true == m)] = -1
+    uniq = np.sort(code, axis=None)
+    uniq = uniq[np.append(True, uniq[1:] != uniq[:-1]) & (uniq >= 0)]
+    if not uniq.size:
+        return None
+    keys, c = [], uniq
+    for g in range(len(ranges) - 1, 0, -1):
+        keys.append(c % ranges[g])
+        c = steps[g - 1][c // ranges[g]]
+    gains = gains_of(np.stack([c] + keys[::-1]))
+    top = gains.max()
+    j, o, t = np.unravel_index(
+        np.argmax(np.isin(code, uniq[gains == top])), code.shape)
+    return float(top), int(j), ("<=", ">=")[o], float(pool[j, t])
+
+
 def best_split(ls, rows, worlds, *, relations, functions, attrs):
     """Exhaustive search over relation x function x attribute x op x threshold.
 
@@ -143,6 +226,10 @@ def best_split(ls, rows, worlds, *, relations, functions, attrs):
     the reachable worlds of the node's instances.  Returns (Decision, gain)
     maximizing entropy gain, ties broken by the canonical (relation, attr,
     fn, op, threshold) order; None when no candidate partitions the node.
+
+    Each (relation, function) block scores every attribute at once (see
+    _block_best), and the exact gain is computed once per distinct left
+    histogram of the node.
     """
     rows = np.asarray(rows)
     m = len(rows)
@@ -155,56 +242,48 @@ def best_split(ls, rows, worlds, *, relations, functions, attrs):
     parent_h = entropy(parent_hist)
     if parent_h == 0.0:
         return None
-    onehot = np.zeros((m, k), dtype=np.int64)
-    onehot[np.arange(m), labels] = 1
-    parent_arr = np.array(parent_hist, dtype=np.int64)
 
-    best = None  # (gain, key, Decision)
     attrs = sorted(attrs)
     fns = [fn for fn in FEATURE_FNS if fn in set(functions)]
+    # a rank below the candidate count times a run's range must fit int64
+    n_cand = 2 * len(attrs) * m * worlds.shape[1]
+    radix, run, ranges = _class_runs(
+        parent_hist, np.iinfo(np.int64).max // (n_cand + 1))
+    weight = np.zeros((len(ranges), m), dtype=np.int64)
+    weight[run[labels], np.arange(m)] = radix[labels]
+    base = np.array(parent_hist) + 1
+    gain_of = {}   # run codes -> exact gain, shared by the node's blocks
 
+    def gains_of(keys):
+        lefts = (keys[run].T // radix) % base
+        gains = np.empty(keys.shape[1])
+        for u, key in enumerate(zip(*keys.tolist())):
+            g = gain_of.get(key)
+            if g is None:
+                left = tuple(lefts[u].tolist())
+                right = tuple(n - c for n, c in zip(parent_hist, left))
+                g = gain_of[key] = _gain(parent_h, left, right, m, ent_cache)
+            gains[u] = g
+        return gains
+
+    best = None  # (gain, key, Decision)
     for rel in relations:
         reach = ls.frame.reach(rel, worlds)
         if not reach.any():
             continue
-        unreached = ~reach[:, None, :]
         for fn in fns:
             fi = FN_INDEX[fn]
-            vals = ls.table[rows[:, None], fi, attrs]   # (m, attrs, worlds)
-            hi = np.where(unreached, -np.inf, vals).max(axis=2)
-            lo = np.where(unreached, np.inf, vals).min(axis=2)
-            for j, attr in enumerate(attrs):
-                mx, mn = hi[:, j], lo[:, j]
-                pool = np.unique(vals[:, j][reach])
-                for op in ("<=", ">="):
-                    if op == "<=":
-                        sat = mn[None, :] <= pool[:, None]
-                    else:
-                        sat = mx[None, :] >= pool[:, None]
-                    n_true = sat.sum(axis=1)
-                    valid = (n_true > 0) & (n_true < m)
-                    if not valid.any():
-                        continue
-                    left = sat[valid].astype(np.int64) @ onehot
-                    thrs = pool[valid]
-                    uniq, inverse = np.unique(left, axis=0,
-                                              return_inverse=True)
-                    gains_u = np.array([
-                        _gain(parent_h, tuple(int(c) for c in u),
-                              tuple(int(c) for c in parent_arr - u),
-                              m, ent_cache)
-                        for u in uniq])
-                    gains = gains_u[inverse.ravel()]
-                    top = gains.max()
-                    first = int(np.argmax(gains == top))
-                    g = float(gains[first])
-                    thr = float(thrs[first])
-                    key = (REL_ORDER[rel], attr, fi, op, thr)
-                    if best is None or g > best[0] or \
-                            (g == best[0] and key < best[1]):
-                        dec = Decision(rel, Atom(fn=fn, attr=attr, op=op,
-                                                 threshold=thr))
-                        best = (g, key, dec)
+            found = _block_best(ls.table[rows[:, None], fi, attrs], reach,
+                                weight, ranges, gains_of)
+            if found is None:
+                continue
+            g, j, op, thr = found
+            key = (REL_ORDER[rel], attrs[j], fi, op, thr)
+            if best is None or g > best[0] or \
+                    (g == best[0] and key < best[1]):
+                dec = Decision(rel, Atom(fn=fn, attr=attrs[j], op=op,
+                                         threshold=thr))
+                best = (g, key, dec)
     if best is None:
         return None
     return best[2], best[0]
@@ -367,8 +446,12 @@ def _node_from_dict(doc, model, depth):
     if "leaf" in doc:
         if doc["leaf"] not in model.classes:
             raise ValueError(f"leaf names unknown class {doc['leaf']!r}")
+        hist = doc["histogram"]
+        if not (isinstance(hist, list) and len(hist) == len(model.classes)
+                and all(type(c) is int and c >= 0 for c in hist)):
+            raise ValueError(f"bad leaf histogram {hist!r}")
         return Leaf(class_id=model.classes.index(doc["leaf"]),
-                    histogram=tuple(doc["histogram"]))
+                    histogram=tuple(hist))
     d = doc["decision"]
     if d["attr_name"] not in model.attr_names:
         raise ValueError(f"decision names unknown attribute "
@@ -436,6 +519,15 @@ def _model_from_dict(doc):
             (doc["kind"] == "tree" and len(doc["trees"]) != 1):
         raise ValueError(f"a {doc['kind']!r} model cannot hold "
                          f"{len(doc['trees'])} trees")
+    # a forest holds one attribute subset per tree, a tree none
+    subsets = doc["attr_subsets"]
+    n_subsets = len(doc["trees"]) if doc["kind"] == "forest" else 0
+    if len(subsets) != n_subsets or not all(
+            isinstance(s, list) and
+            all(type(a) is int and 0 <= a < len(doc["attr_names"])
+                for a in s) and len(set(s)) == len(s) for s in subsets):
+        raise ValueError(f"bad attr_subsets {subsets!r} for a "
+                         f"{doc['kind']} of {len(doc['trees'])} trees")
     model = Model(kind=doc["kind"], params=params,
                   classes=tuple(doc["classes"]),
                   attr_names=tuple(doc["attr_names"]), trees=(),

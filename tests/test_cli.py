@@ -251,6 +251,22 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [
+    "clip_seconds=inf", "clip_seconds=1e308", "clip_seconds=nan",
+    "min_gain=nan", "max_leaf_entropy=nan", "trim_frame_ms=nan",
+    "trim_threshold_db=nan"])
+def test_non_finite_config_value_is_config_error(tmp_path, capsys, line):
+    manifest = _make_corpus(tmp_path / "wav", n_per_class=2)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"out_dir={tmp_path / 'out'}\ntrim=true\n{line}\n",
+                   encoding="utf-8")
+    rc = cli.main(["featurize", "--config", str(cfg), str(manifest),
+                   "--jobs", "1"])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_cube_is_data_error(tmp_path, capsys):
     rc = cli.main(["evaluate", str(tmp_path / "nope.cube")])
     assert rc == 2

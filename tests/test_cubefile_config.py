@@ -1,4 +1,6 @@
 """Cube container format and experiment config files."""
+import dataclasses
+import math
 import struct
 import tempfile
 import zlib
@@ -215,6 +217,17 @@ def test_validation_errors():
         "instance_frac=0",
         "trim_threshold_db=0",
         "seed=-1",
+        # non-finite numbers, and clips that are no usable sample count
+        "clip_seconds=inf",
+        "clip_seconds=1e308",
+        "clip_seconds=nan",
+        "clip_seconds=1e-9",
+        "resample_hz=1" + "0" * 400 + "\nclip_seconds=1",
+        "min_gain=nan",
+        "max_leaf_entropy=nan",
+        "trim_frame_ms=nan",
+        "trim_threshold_db=-inf",
+        "bandpass_low=nan\nbandpass_high=300",
     ]
     for text in bad:
         with pytest.raises(ConfigError):
@@ -250,3 +263,33 @@ def test_learn_params_from_config():
     assert params.seed == 3
     assert params.relations == ("L", "G")
     assert params.attr_frac == 0.25
+
+
+_CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-Infinity", "1e308", "1e-9",
+                     "0.5", "1", "0", "-1", "9" * 30, "1_0", "none", "",
+                     "\u0661\u0662"]),
+    st.floats().map(repr), st.integers().map(str),
+    st.sampled_from(["true", "FALSE", "prop", "modal", "forest", "L,G", "Id",
+                     ","]),
+    st.text(max_size=8))
+_CONFIG_TEXTS = st.one_of(
+    st.dictionaries(st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES,
+                    min_size=1, max_size=3).map(
+        lambda d: "\n".join(f"{k}={v}" for k, v in d.items())),
+    st.text(max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIG_TEXTS)
+def test_config_text_raises_only_config_errors(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    # a config that parses holds finite numbers and survives a round trip
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        assert not isinstance(value, float) or math.isfinite(value), f.name
+    assert parse_config(serialize_config(cfg)) == cfg

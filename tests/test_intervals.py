@@ -3,7 +3,7 @@ from itertools import compress
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from symaudio.audio import FeatureCube
@@ -240,9 +240,30 @@ def test_parse_errors():
     names = ("a", "b")
     for bad in ("max(zzz) >= 1", "wobble(a) >= 1", "max(a >= 1",
                 "max(a) >> 1", "<Q>(max(a) >= 1)", "max(a) >= 1 )",
-                "max(a) >= 1 max(b) <= 2"):
+                "max(a) >= 1 max(b) <= 2", "max(a) >= 1e999",
+                "min(b) <= -1e400", "!" * 5000 + "max(a) >= 1",
+                "(" * 5000 + "true" + ")" * 5000):
         with pytest.raises(ValueError):
             parse_formula(bad, names)
+
+
+_FORMULA_TOKENS = st.sampled_from(
+    ["!", "&", "|", "(", ")", "<L>", "[G]", "<AOinv>", "[Id]", "<Q>", "max",
+     "stretch_high", "(a)", "(b)", "a", "<=", ">=", "1.5", "-0", "2e-3",
+     "1e999", ".5", "true", " ", "max(a) <= 1", "min(b) >= -2.25",
+     "mean(b) >= ", "!" * 400, "(" * 400, "<DBE>" * 400])
+
+
+@settings(max_examples=300)
+@given(st.one_of(st.lists(_FORMULA_TOKENS, max_size=25).map("".join),
+                 st.text(max_size=30)))
+def test_formula_text_raises_only_value_errors(text):
+    names = ("a", "b")
+    try:
+        phi = parse_formula(text, names)
+    except ValueError:
+        return
+    assert parse_formula(format_formula(phi, names), names) == phi
 
 
 def test_format_parse_round_trip():

@@ -175,6 +175,21 @@ def test_best_split_identical_instances_is_none():
                       attrs=(0,)) is None
 
 
+def _check_against_oracle(ls, rows, worlds, relations, functions, attrs):
+    got = best_split(ls, rows, worlds, relations=relations,
+                     functions=functions, attrs=attrs)
+    want = oracles.naive_best_split(ls, _oracle_states(ls, rows, worlds),
+                                    relations, functions, attrs)
+    if want is None:
+        assert got is None
+        return False
+    (rel, fn, attr, op, thr), w_gain = want
+    dec, gain = got
+    assert dec == Decision(rel, Atom(fn=fn, attr=attr, op=op, threshold=thr))
+    assert gain == w_gain
+    return True
+
+
 def test_best_split_matches_naive_oracle():
     rng = np.random.default_rng(9)
     rel_menu = [("G",), ("G", "L"), ("L", "AO", "DBE"),
@@ -187,18 +202,53 @@ def test_best_split_matches_naive_oracle():
         rows, worlds = np.arange(6), _all_worlds(ls, 6)
         relations = rel_menu[trial % len(rel_menu)]
         functions = fn_menu[trial % len(fn_menu)]
-        got = best_split(ls, rows, worlds, relations=relations,
-                         functions=functions, attrs=(0, 1))
-        want = oracles.naive_best_split(ls, _oracle_states(ls, rows, worlds),
-                                        relations, functions, (0, 1))
-        if want is None:
-            assert got is None
-            continue
-        (rel, fn, attr, op, thr), w_gain = want
-        dec, gain = got
-        assert dec == Decision(rel, Atom(fn=fn, attr=attr, op=op,
-                                         threshold=thr))
-        assert gain == w_gain
+        _check_against_oracle(ls, rows, worlds, relations, functions,
+                              (0, 1))
+
+
+def test_best_split_oracle_classes_subsets_and_unreachable_worlds():
+    # 3 or 4 classes with one absent from the node, attribute subsets with
+    # gaps, tie-heavy values, and instances whose only world is the full
+    # interval, which has no L or AO successor
+    rng = np.random.default_rng(23)
+    rel_menu = [("Id", "L", "AO", "DBE"), ("L", "AOinv", "G"),
+                ("AO", "Linv", "DBEinv")]
+    fn_menu = [("max", "min", "std"), ("mean", "median"),
+               ("entropy_pairs", "stretch_high", "stretch_decr"),
+               ("transition_var", "min")]
+    subsets = [(0, 2, 3), (1, 4), (0, 1, 2, 3, 4), (4,)]
+    n_found = 0
+    for trial in range(40):
+        n_classes = 3 + trial % 2
+        m, T = 9 + trial % 4, 3 + trial % 2
+        series = [rng.integers(0, 3, size=(5, T)) / 2.0 for _ in range(m)]
+        labels = [i % n_classes for i in range(m)]
+        ls = _ls(series, labels)
+        rows = np.array([i for i in range(m)
+                         if labels[i] != trial % n_classes])
+        f = ls.frame
+        worlds = rng.random((len(rows), len(f.intervals))) < 0.4
+        worlds[:, f.index[(0, T)]] = True
+        worlds[::3] = False
+        worlds[::3, f.index[(0, T)]] = True
+        n_found += _check_against_oracle(
+            ls, rows, worlds, rel_menu[trial % len(rel_menu)],
+            fn_menu[trial % len(fn_menu)], subsets[trial % len(subsets)])
+    assert n_found >= 30
+
+
+def test_best_split_oracle_codes_past_int64():
+    # 40 classes of 2: the left histograms' mixed-radix codes range over
+    # 3**40 > 2**63, so the search compresses them run by run
+    rng = np.random.default_rng(29)
+    labels = [i % 40 for i in range(80)]
+    assert math.prod(labels.count(c) + 1 for c in range(40)) > 2 ** 63
+    for trial in range(2):
+        series = [rng.integers(0, 9, size=(5, 2)) / 4.0 for _ in labels]
+        ls = _ls(series, labels, mode="propositional")
+        assert _check_against_oracle(
+            ls, np.arange(80), _all_worlds(ls, 80), ("Id",),
+            ("max", "mean", "std"), (0, 3, 4))
 
 
 def test_best_split_gain_bounds():
@@ -408,17 +458,29 @@ def _edit(path, value=None, drop=False):
     return mutate
 
 
-def _unknown_leaf_class(doc):
-    node = doc["trees"][0]
-    while "leaf" not in node:
-        node = node["left"]
-    node["leaf"] = "no-such-class"
-    return doc
+def _leaf_edit(key, value):
+    """A mutation that sets the leftmost leaf's key to value."""
+    def mutate(doc):
+        node = doc["trees"][0]
+        while "leaf" not in node:
+            node = node["left"]
+        node[key] = value
+        return doc
+    return mutate
 
 
 def _two_trees(doc):
     doc["trees"].append(doc["trees"][0])
     return doc
+
+
+def _forest(subsets):
+    """The tree document as a forest of one tree with these subsets."""
+    def mutate(doc):
+        doc["kind"] = "forest"
+        doc["attr_subsets"] = subsets
+        return doc
+    return mutate
 
 
 ROOT = ("trees", 0, "decision")
@@ -427,7 +489,7 @@ MALFORMED_MODELS = {
     "missing params": _edit(("params",), drop=True),
     "missing trees": _edit(("trees",), drop=True),
     "missing decision op": _edit(ROOT + ("op",), drop=True),
-    "unknown leaf class": _unknown_leaf_class,
+    "unknown leaf class": _leaf_edit("leaf", "no-such-class"),
     "unknown attr_name": _edit(ROOT + ("attr_name",), "zzz"),
     "trees not a list": _edit(("trees",), 5),
     "trees an object": lambda doc: _edit(("trees",), doc["trees"][0])(doc),
@@ -447,6 +509,18 @@ MALFORMED_MODELS = {
     "relation L at the modal root": _edit(ROOT + ("relation",), "L"),
     "function nope": _edit(ROOT + ("fn",), "nope"),
     "op ==": _edit(ROOT + ("op",), "=="),
+    "text histogram": _leaf_edit("histogram", "ab"),
+    "short histogram": _leaf_edit("histogram", [1]),
+    "negative histogram count": _leaf_edit("histogram", [3, -1]),
+    "fractional histogram count": _leaf_edit("histogram", [1.5, 0]),
+    "boolean histogram count": _leaf_edit("histogram", [True, 0]),
+    "tree with attr_subsets": _edit(("attr_subsets",), [[0, 1]]),
+    "forest without attr_subsets": _forest([]),
+    "forest with two subsets for one tree": _forest([[0], [1]]),
+    "forest subset out of range": _forest([[99, -5]]),
+    "forest subset of names": _forest([["x"]]),
+    "forest subset repeats an attribute": _forest([[0, 0]]),
+    "forest subset not a list": _forest([1]),
 }
 
 
@@ -460,6 +534,8 @@ def test_malformed_model_document_rejected(case):
     doc = json.loads(json.dumps(model_to_dict(model)))
     assert "decision" in doc["trees"][0]
     assert model_from_dict(json.loads(json.dumps(doc))) == model
+    forest = _forest([[1, 0]])(json.loads(json.dumps(doc)))
+    assert model_from_dict(forest).attr_subsets == ((1, 0),)
     # Python's json reads NaN and Infinity, so a model file can hold them
     bad = json.loads(json.dumps(MALFORMED_MODELS[case](doc)))
     with pytest.raises(ValueError):
