@@ -9,12 +9,13 @@ small number of averaged windows.  At the default settings the result is a
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct, idct
-from scipy.io import wavfile
-from scipy.signal import butter, sosfiltfilt
+
+# scipy is imported inside the functions that use it: importing it costs
+# more than a whole model command, and only featurize needs it.
 
 
 class AudioDecodeError(ValueError):
@@ -80,6 +81,7 @@ class FeatureCube:
 
 def decode_wav(path):
     """Decode a PCM or float WAV file to a mono float64 signal in [-1, 1]."""
+    from scipy.io import wavfile
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
@@ -107,8 +109,104 @@ def decode_wav(path):
     return AudioSignal(mono, int(rate))
 
 
+def _physical_memory():
+    """Bytes of physical memory, or of the address-space limit (`ulimit -v`)
+    when that is smaller; None where the platform says neither."""
+    try:
+        have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        have = None
+    try:
+        import resource
+        limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    except (ImportError, ValueError, OSError):
+        return have
+    if limit == resource.RLIM_INFINITY:
+        return have
+    return limit if have is None else min(have, limit)
+
+
+# Chebyshev coefficients of exp(-x) I0(x) for 0 <= x <= 8 (Cephes i0.c),
+# the series np.i0 evaluates on that range.
+_I0_CHEB = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+
+KAISER_BETA = 8.0
+RESAMPLE_BLOCK = 2 ** 15   # kernel entries per block of output samples
+KERNEL_CACHE = 2 ** 18     # kernel entries kept for reuse across blocks
+MAX_TAPS = 2 ** 20         # taps per output sample: a 1:16384 rate ratio
+
+
+def _i0(z, out, scratch):
+    """np.i0(z) for 0 <= z <= 8 into out, by the same IEEE operations in the
+    same order: exp(z) times numpy's Chebyshev recurrence at z/2 - 2.  The
+    three scratch arrays have z's shape."""
+    y = np.divide(z, 2.0, out=out)
+    y -= 2.0
+    b0, b1, b2 = scratch
+    b0.fill(_I0_CHEB[0])
+    b1.fill(0.0)
+    for a in _I0_CHEB[1:]:
+        b0, b1, b2 = b2, b0, b1   # b2 = b1; b1 = b0; b0 takes the old b2
+        np.multiply(y, b1, out=b0)
+        b0 -= b2
+        b0 += a
+    b0 -= b2
+    b0 *= 0.5
+    np.exp(z, out=out)
+    out *= b0
+    return out
+
+
+def _kernel(t, half, cutoff, out, scratch, mask):
+    """cutoff * sinc(cutoff * t) * kaiser(t / half) into out, by the IEEE
+    operations of np.sinc and np.i0 in their order.  t is overwritten; the
+    four scratch arrays and the boolean mask have t's shape."""
+    u, *rest = scratch
+    # Kaiser window i0(8*sqrt(max(1 - u*u, 0))) / i0(8), zeroed where |u| >= 1
+    np.divide(t, half, out=u)
+    np.abs(u, out=out)
+    np.greater_equal(out, 1.0, out=mask)
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.maximum(u, 0.0, out=u)
+    np.sqrt(u, out=u)
+    u *= KAISER_BETA
+    win = _i0(u, out, rest)
+    win /= float(np.i0(KAISER_BETA))
+    np.copyto(win, 0.0, where=mask)
+    # np.sinc: sin(pi*x) / (pi*x), with eps standing in for x == 0
+    t *= cutoff
+    t *= np.pi
+    np.equal(t, 0.0, out=mask)
+    np.copyto(t, np.finfo(np.float64).eps, where=mask)
+    np.sin(t, out=u)
+    u /= t
+    u *= cutoff
+    win *= u
+    return out
+
+
 def resample(sig, target_rate):
-    """Windowed-sinc resampling (Kaiser beta=8), output length round(n*ratio)."""
+    """Windowed-sinc resampling (Kaiser beta=8), output length round(n*ratio).
+
+    Output samples are computed in blocks of about RESAMPLE_BLOCK kernel
+    entries, and up to KERNEL_CACHE entries of kernel rows are kept for
+    reuse, so the working set stays a few MB at any rate ratio.  Each output
+    sample is the sum of its own row of tap products, each computed by the
+    IEEE operations of np.sinc and np.i0 in their order, so neither the
+    blocks nor the reuse change a bit of the result.
+    """
     if target_rate <= 0:
         raise ValueError("target rate must be positive")
     sr = sig.sample_rate
@@ -123,28 +221,66 @@ def resample(sig, target_rate):
     cutoff = min(1.0, ratio)           # fraction of the input Nyquist
     half = 32.0 / cutoff               # kernel half-width in input samples
     taps = 2 * math.ceil(half) + 1
-    i0_beta = float(np.i0(8.0))
+    if taps > MAX_TAPS:
+        raise ValueError(f"resampling {sr} Hz to {target_rate} Hz needs "
+                         f"{taps} taps per sample, more than {MAX_TAPS}")
+    have = _physical_memory()
+    if have is not None and n_out * 8 > have:
+        raise ValueError(
+            f"resampling {n_in} samples from {sr} Hz to {target_rate} Hz "
+            f"gives {n_out * 8 / 2**30:.1f} GiB, more than the "
+            f"{have / 2**30:.1f} GiB of memory")
+    rows = max(1, RESAMPLE_BLOCK // taps)
     offsets = np.arange(taps)
+    xpad = np.zeros(n_in + 2 * taps)   # x[k] is xpad[k + taps], 0 outside
+    xpad[taps:taps + n_in] = x
     out = np.empty(n_out)
-    for b0 in range(0, n_out, 8192):
-        nn = np.arange(b0, min(b0 + 8192, n_out))
-        pos = nn / ratio
+    # Tap k of output n sits at t = k - pos, pos = n / ratio, and k runs
+    # from ceil(pos - half).  Both frac(pos) and ceil(pos - half) -
+    # floor(pos) are exact, and the pair fixes every t of the row, so rows
+    # with the same pair share one kernel row, bit for bit.
+    cache = {}
+    table = np.empty((max(rows, KERNEL_CACHE // taps), taps))
+    k_buf = np.empty((rows, taps), dtype=np.int64)
+    mask_buf = np.empty((rows, taps), dtype=bool)
+    bufs = np.empty((5, rows, taps))
+    for lo in range(0, n_out, rows):
+        r = min(rows, n_out - lo)
+        k, mask = k_buf[:r], mask_buf[:r]
+        t, *scratch = bufs[:, :r]
+        pos = np.arange(lo, lo + r) / ratio
         start = np.ceil(pos - half).astype(np.int64)
-        k = start[:, None] + offsets[None, :]
-        t = k - pos[:, None]
-        u = t / half
-        win = np.zeros_like(t)
-        inside = np.abs(u) < 1.0
-        win[inside] = np.i0(8.0 * np.sqrt(1.0 - u[inside] ** 2)) / i0_beta
-        kern = cutoff * np.sinc(cutoff * t) * win
-        valid = (k >= 0) & (k < n_in)
-        xv = np.where(valid, x[np.clip(k, 0, n_in - 1)], 0.0)
-        out[nn] = (xv * kern).sum(axis=1)
+        whole = np.floor(pos)
+        if len(cache) + r > len(table):
+            cache.clear()
+        n_old = len(cache)
+        slots = np.empty(r, dtype=np.intp)
+        fresh = []
+        for i, key in enumerate(zip((pos - whole).tolist(),
+                                    (start - whole).tolist())):
+            slot = cache.get(key)
+            if slot is None:
+                slot = cache[key] = len(cache)
+                fresh.append(i)
+            slots[i] = slot
+        if fresh:
+            n_new = len(fresh)
+            np.add(start[fresh, None], offsets, out=k[:n_new])
+            np.subtract(k[:n_new], pos[fresh, None], out=t[:n_new])
+            _kernel(t[:n_new], half, cutoff, table[n_old:n_old + n_new],
+                    [a[:n_new] for a in scratch], mask[:n_new])
+        np.add(start[:, None], offsets + taps, out=k)
+        xv, kern = scratch[:2]
+        np.take(xpad, k, out=xv, mode="clip")
+        np.take(table, slots, axis=0, out=kern, mode="clip")
+        xv *= kern
+        xv.sum(axis=1, out=out[lo:lo + r])
     return AudioSignal(out, int(target_rate))
 
 
 def bandpass(sig, low, high):
     """Zero-phase 4th-order Butterworth band-pass between low and high Hz."""
+    from scipy.signal import butter, sosfiltfilt
     nyq = sig.sample_rate / 2.0
     if not (0.0 < low < high <= nyq):
         raise ValueError(f"band edges must satisfy 0 < low < high <= {nyq}")
@@ -360,11 +496,13 @@ LOG_FLOOR = 1e-10
 
 def mel_to_mfcc(mel_matrix, n_coeffs=13):
     """Log (floored at 1e-10) then orthonormal DCT-II, keep n_coeffs rows."""
+    from scipy.fft import dct
     logm = np.log(np.maximum(mel_matrix, LOG_FLOOR))
     return dct(logm, type=2, axis=0, norm="ortho")[:n_coeffs]
 
 
 def inverse_mfcc(coeffs):
+    from scipy.fft import idct
     return idct(coeffs, type=2, axis=0, norm="ortho")
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import os
 import sys
@@ -230,6 +231,14 @@ def cmd_featurize(args, cfg):
                           "(argument or config key)")
     rows = _read_manifest(manifest)
     n_total = len(rows)
+
+    # Each _map_jobs forks a new pool: import what the workers need here,
+    # once, rather than in every worker of every pass.
+    needed = ["scipy.fft", "scipy.io.wavfile"]
+    if cfg.bandpass_low is not None:
+        needed.append("scipy.signal")
+    for module in needed:
+        importlib.import_module(module)
 
     status = {}   # listed path -> error message, for failed rows
     prepped = _map_jobs(_prep_one, [(r[0], cfg) for r in rows], args.jobs)

@@ -9,6 +9,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+from .audio import _physical_memory
 from .intervals import RELATIONS
 from .logiset import FEATURE_FNS
 from .trees import DEFAULT_RELATIONS, LearnParams
@@ -16,6 +17,11 @@ from .trees import DEFAULT_RELATIONS, LearnParams
 
 class ConfigError(ValueError):
     pass
+
+
+# The highest rate in common audio use; a higher target rate only makes
+# every array of the front end larger.
+MAX_RESAMPLE_HZ = 384_000
 
 
 @dataclass
@@ -117,8 +123,8 @@ def _coerce(key, value):
 def validate_config(cfg):
     def bad(msg):
         raise ConfigError(msg)
-    if cfg.resample_hz <= 0:
-        bad("resample_hz must be positive")
+    if not 0 < cfg.resample_hz <= MAX_RESAMPLE_HZ:
+        bad(f"resample_hz must lie in 1..{MAX_RESAMPLE_HZ}")
     if cfg.window_len <= 0 or cfg.hop <= 0:
         bad("window_len and hop must be positive")
     if cfg.n_mel <= 0 or cfg.n_mfcc <= 0:
@@ -152,6 +158,11 @@ def validate_config(cfg):
         if n_samples < 1:
             bad(f"clip_seconds={cfg.clip_seconds} at resample_hz="
                 f"{cfg.resample_hz} is not a usable sample count")
+        have = _physical_memory()
+        if have is not None and n_samples * 8 > have:
+            bad(f"clip_seconds={cfg.clip_seconds} at resample_hz="
+                f"{cfg.resample_hz} needs {n_samples * 8 / 2**30:.1f} GiB "
+                f"per clip, more than the {have / 2**30:.1f} GiB of memory")
     if cfg.trim_frame_ms <= 0:
         bad("trim_frame_ms must be positive")
     if cfg.trim_threshold_db <= 0:

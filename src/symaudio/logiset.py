@@ -7,12 +7,11 @@ only the full interval (0, T).
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import FeatureCube
+from .audio import FeatureCube, _physical_memory
 from .intervals import frame
 
 FEATURE_FNS = ("max", "min", "mean", "median", "std",
@@ -43,14 +42,6 @@ def compute_feature(fn, series, w):
     return float(table[0, FN_INDEX[fn], 0, 0])
 
 
-def _physical_memory():
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _feature_table(values, intervals):
     """Every feature function over every interval of every series.
 
@@ -67,7 +58,7 @@ def _feature_table(values, intervals):
         raise ValueError(
             f"the feature table for {m} instances with n_points={T} needs "
             f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
-            f"of physical memory")
+            f"of memory")
     table = np.empty((m, len(FEATURE_FNS), n_attrs, len(intervals)))
     for col, (x, y) in enumerate(intervals):
         seg = values[..., x:y]

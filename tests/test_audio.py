@@ -1,10 +1,13 @@
 """WAV decoding, DSP front end, and feature cube assembly."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import reference_resample
+from symaudio import audio
 from symaudio.audio import (AudioDecodeError, AudioSignal, FeatureCube,
                             SPECTRAL_FEATURES, Spectrogram, assemble_cube,
                             bandpass, decode_wav, delta, featurize_signal,
@@ -96,6 +99,71 @@ def test_resample_preserves_tone():
     spec = stft(out)
     dominant = spec.bin_freqs[np.argmax(spec.magnitudes.mean(axis=1))]
     assert abs(dominant - 1000.0) <= 8000.0 / 256
+
+
+@pytest.mark.parametrize("sr,target", [(44100, 8000), (48000, 16000),
+                                       (22050, 8000), (8000, 44100),
+                                       (8000, 16000)])
+def test_resample_bitwise_equals_reference(sr, target, monkeypatch):
+    taps = 2 * math.ceil(32.0 / min(1.0, target / sr)) + 1
+    rng = np.random.default_rng(sr + target)
+    # inputs shorter than the kernel, and one of several default blocks
+    for n in (40, taps - 1, int(3.5 * audio.RESAMPLE_BLOCK / taps * sr
+                                / target)):
+        sig = AudioSignal(rng.standard_normal(n), sr)
+        want = reference_resample.resample(sig, target).samples
+        n_out = len(want)
+        # the default block and kernel cache, all rows in one block, blocks
+        # whose last one is partial, and a cache cleared at every block
+        for rows, cache in ((None, None), (n_out, None),
+                            (n_out // 3 + 1, None), (n_out // 3 + 1, 0)):
+            if rows is not None:
+                monkeypatch.setattr(audio, "RESAMPLE_BLOCK", rows * taps)
+            if cache is not None:
+                monkeypatch.setattr(audio, "KERNEL_CACHE", cache)
+            got = resample(sig, target).samples
+            assert got.view(np.uint64).tolist() == \
+                want.view(np.uint64).tolist()
+        monkeypatch.undo()
+
+
+def test_window_recurrence_equals_np_i0():
+    z = np.concatenate([np.linspace(0.0, 8.0, 200_001),
+                        np.nextafter([0.0, 8.0], [1.0, 0.0])])
+    got = audio._i0(z, np.empty_like(z), np.empty((3, z.size)))
+    assert got.view(np.uint64).tolist() == np.i0(z).view(np.uint64).tolist()
+
+
+def test_resample_memory_is_bounded():
+    sig = AudioSignal(np.random.default_rng(0).standard_normal(44100), 44100)
+    tracemalloc.start()
+    try:
+        resample(sig, 8000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_resample_rejects_rates_beyond_bounds(monkeypatch):
+    sig = AudioSignal(np.ones(10_000), 8000)
+    # 2**20 taps per sample cap the downsampling ratio near 1:16384
+    with pytest.raises(ValueError, match="taps per sample"):
+        resample(AudioSignal(np.ones(100_000), 44100), 2)
+    monkeypatch.setattr(audio, "_physical_memory", lambda: 8 * 10**5 - 1)
+    with pytest.raises(ValueError, match="GiB of memory"):
+        resample(sig, 80_000)      # 1e5 samples out: 8e5 bytes
+    monkeypatch.setattr(audio, "_physical_memory", lambda: 8 * 10**5)
+    assert len(resample(sig, 80_000).samples) == 10**5
+
+
+def test_physical_memory_honours_address_space_limit(monkeypatch):
+    import resource
+    monkeypatch.setattr(resource, "getrlimit", lambda which: (2**30, 2**31))
+    assert audio._physical_memory() <= 2**30
+    monkeypatch.setattr(resource, "getrlimit",
+                        lambda which: (resource.RLIM_INFINITY,) * 2)
+    assert audio._physical_memory() > 2**30
 
 
 def test_bandpass_attenuates_stopband():

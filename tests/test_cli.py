@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import json
 import os
 import struct
 import subprocess
@@ -135,6 +136,47 @@ def test_featurize_zero_pads_short_clip(tmp_path):
     assert report[0] == "lo_0.wav\tok (zero-padded 1600 -> 2400 samples)"
     cf = load_cube_file(str(out / "features.cube"))
     assert cf.values.shape[0] == 12
+
+
+def _limited_address_space():
+    import resource
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    soft = 7 * 2**29   # 3.5 GiB
+    if hard != resource.RLIM_INFINITY:
+        soft = min(soft, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("rate,verdict", [
+    # 8e8 samples out (6 GiB) do not fit the address space
+    (1, "error: resampling 100000 samples from 1 Hz"),
+    # 400,001 taps per sample, one output row per block
+    (50_000_000, "ok (zero-padded 16 -> 2400 samples)"),
+    # 1,200,001 taps per sample, beyond the cap
+    (150_000_000, "taps per sample, more than 1048576")])
+def test_featurize_survives_crafted_header_rate(tmp_path, rate, verdict):
+    # a 200 KB WAV whose header claims an absurd rate, next to a good file,
+    # featurized in a process limited to a 3.5 GiB address space
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    _tone_wav(wavs / "good.wav", 440)
+    noise = np.random.default_rng(0).integers(-2000, 2000, 100_000)
+    wavfile.write(str(wavs / "crafted.wav"), rate, noise.astype(np.int16))
+    manifest = wavs / "manifest.csv"
+    manifest.write_text("good.wav,a\ncrafted.wav,b\n", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "exp.cfg", out)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symaudio.cli", "featurize", str(manifest),
+         "--config", str(cfg)],
+        capture_output=True, text=True, preexec_fn=_limited_address_space,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == (0 if verdict.startswith("ok") else 2), \
+        proc.stderr
+    report = (out / "features.report.txt").read_text().splitlines()
+    assert report[0] == "good.wav\tok"
+    assert report[1].startswith("crafted.wav\t") and verdict in report[1]
 
 
 def test_featurize_without_manifest_is_config_error(tmp_path, capsys):
@@ -302,6 +344,31 @@ def test_oversized_table_is_data_error(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "data error:" in err and "n_points=4" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_model_commands_leave_scipy_unloaded(workspace, tmp_path):
+    # only featurize needs scipy; importing it costs more than training
+    cube, cfg = workspace["out"] / "features.cube", workspace["cfg"]
+    script = f"""
+import json, sys
+parts = ("scipy.fft", "scipy.io", "scipy.signal")
+loaded = lambda: [p for p in parts if p in sys.modules]
+import symaudio
+from symaudio import cli
+seen = {{"import": loaded()}}
+for command in ("train", "evaluate", "rules"):
+    rc = cli.main([command, {str(cube)!r}, "--config", {str(cfg)!r},
+                   "--out", {str(tmp_path)!r}])
+    seen[command] = [rc] + loaded()
+print(json.dumps(seen))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], "train": [0], "evaluate": [0],
+                    "rules": [0]}
 
 
 def test_benchmark_trace_hooks_resolve():

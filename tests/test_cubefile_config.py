@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symaudio.config import (ConfigError, ExperimentConfig, learn_params_from,
-                             load_config, parse_config, serialize_config)
+from symaudio import config
+from symaudio.config import (MAX_RESAMPLE_HZ, ConfigError, ExperimentConfig,
+                             learn_params_from, load_config, parse_config,
+                             serialize_config)
 from symaudio.cubefile import (CubeFileError, load_cube_file, write_cube_file)
 from symaudio.trees import DEFAULT_RELATIONS
 
@@ -223,6 +225,10 @@ def test_validation_errors():
         "clip_seconds=nan",
         "clip_seconds=1e-9",
         "resample_hz=1" + "0" * 400 + "\nclip_seconds=1",
+        # rates above MAX_RESAMPLE_HZ, clips beyond physical memory
+        "resample_hz=384001",
+        "resample_hz=100000000",
+        "clip_seconds=1e7",
         "min_gain=nan",
         "max_leaf_entropy=nan",
         "trim_frame_ms=nan",
@@ -232,6 +238,18 @@ def test_validation_errors():
     for text in bad:
         with pytest.raises(ConfigError):
             parse_config(text)
+
+
+def test_rate_and_clip_bounds(monkeypatch):
+    assert MAX_RESAMPLE_HZ == 384_000
+    assert parse_config("resample_hz=384000").resample_hz == 384_000
+    # one 10 s clip at 8 kHz is 640,000 bytes
+    monkeypatch.setattr(config, "_physical_memory", lambda: 640_000)
+    assert parse_config("clip_seconds=10").clip_seconds == 10.0
+    with pytest.raises(ConfigError, match="GiB per clip"):
+        parse_config("clip_seconds=10.0001")
+    monkeypatch.setattr(config, "_physical_memory", lambda: None)
+    assert parse_config("clip_seconds=1e7").clip_seconds == 1e7
 
 
 def test_serialize_shapes():
