@@ -8,6 +8,7 @@ small number of averaged windows.  At the default settings the result is a
 """
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass
@@ -83,7 +84,11 @@ def decode_wav(path):
     """Decode a PCM or float WAV file to a mono float64 signal in [-1, 1]."""
     from scipy.io import wavfile
     try:
-        rate, data = wavfile.read(path)
+        with open(path, "rb") as fh:
+            # From a buffer scipy reads the data chunk as far as the file
+            # goes; from a file it allocates the header's size up front,
+            # up to 4 GiB.
+            rate, data = wavfile.read(io.BytesIO(fh.read()))
     except FileNotFoundError:
         raise
     except Exception as exc:

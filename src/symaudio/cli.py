@@ -46,6 +46,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _jobs(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, not {n}")
+    return n
+
+
 def _build_parser():
     parser = _Parser(prog="symaudio",
                      description="symbolic audio classification toolkit")
@@ -64,8 +71,8 @@ def _build_parser():
     common(p)
     p.add_argument("manifest", nargs="?",
                    help="CSV of path,label rows (default: config manifest)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel feature extraction workers")
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="parallel feature extraction workers (at least 1)")
     p.set_defaults(func=cmd_featurize)
 
     p = sub.add_parser("train", help="fit a classifier on a feature cube")
@@ -159,13 +166,23 @@ def _task_name(cfg, cube_path):
 
 # --- featurize --------------------------------------------------------------
 
+def _csv_rows(fh):
+    """csv rows of fh; a line csv cannot read, such as one with a field past
+    its 131,072-character limit, is a ValueError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as e:
+        raise ValueError(f"manifest line {reader.line_num}: {e}") from None
+
+
 def _read_manifest(path):
     """Rows of (resolved_path, listed_path, label); paths resolve against
     the manifest's own directory."""
     base = os.path.dirname(os.path.abspath(path))
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for i, row in enumerate(csv.reader(fh)):
+        for i, row in enumerate(_csv_rows(fh)):
             if not row or all(not c.strip() for c in row):
                 continue
             if i == 0 and [c.strip().lower() for c in row] == \
@@ -218,6 +235,9 @@ def _feat_one(job):
 
 
 def _map_jobs(fn, jobs, n_workers):
+    # a pool forks all its workers at once: start no more than there are
+    # jobs and CPUs
+    n_workers = min(n_workers, len(jobs), os.cpu_count() or 1)
     if n_workers <= 1:
         return [fn(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:

@@ -25,6 +25,10 @@ DEFAULT_RELATIONS = ("L", "Linv", "AO", "AOinv", "DBE", "DBEinv", "G")
 
 MODEL_SCHEMA_VERSION = 1
 
+# Entries of the largest p * log2(p) term table a split search keeps for a
+# node (8 MiB of float64); bigger nodes look their terms up block by block
+TERM_TABLE_MAX = 1 << 20
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -123,99 +127,92 @@ def witnesses(decision, vals, worlds, frame):
 
 # --- split search -----------------------------------------------------------
 
-def _gain(parent_h, left_hist, right_hist, total, ent_cache):
-    def h(hist):
-        val = ent_cache.get(hist)
-        if val is None:
-            val = entropy(hist)
-            ent_cache[hist] = val
-        return val
-    nl = sum(left_hist)
-    nr = sum(right_hist)
-    return parent_h - (nl * h(left_hist) + nr * h(right_hist)) / total
-
-
-def _class_runs(parent_hist, limit):
-    """Split the classes into runs whose mixed-radix code range is <= limit.
+def _class_runs(parent_hist):
+    """Split the classes into runs whose mixed-radix codes fit int64.
 
     A left histogram with counts l_c <= n_c (n_c the node's count of class
     c) has the code sum(l_c * radix[c]) in each run, radix[c] being the
     product of (n_c' + 1) over the classes c' before c in its run.  Returns
-    (radix, run, ranges): run[c] is the run holding class c and ranges[g]
-    the code range of run g.  One run covers every class unless its codes
-    would pass limit.
+    (radix, run): run[c] is the run holding class c.  One run covers every
+    class unless its codes would pass int64.
     """
     radix = np.ones(len(parent_hist), dtype=np.int64)
     run = np.zeros(len(parent_hist), dtype=np.intp)
-    ranges = [1]
+    span = 1   # the code range of the current run
     for c, n in enumerate(parent_hist):
-        if ranges[-1] * (n + 1) > limit:
-            ranges.append(1)
-        radix[c] = ranges[-1]
-        run[c] = len(ranges) - 1
-        ranges[-1] *= n + 1
-    return radix, run, ranges
+        if span * (n + 1) > np.iinfo(np.int64).max:
+            run[c:] += 1
+            span = 1
+        radix[c] = span
+        span *= n + 1
+    return radix, run
 
 
-def _block_best(vals, reach, weight, ranges, gains_of):
+def _log_terms(at, m):
+    """p * log2(p) for p = count / total at each index count * (m + 1) +
+    total, with math.log2 as entropy has it: np.log2 can differ from it in
+    the last bit."""
+    p = (at // (m + 1)) / (at % (m + 1))
+    return p * np.array([math.log2(x) if x else 0.0 for x in p.tolist()])
+
+
+def _block_best(vals, reach, miss, weight, gains_of):
     """The best candidate of one (relation, function) block, or None.
 
-    vals (m, attrs, worlds) holds the block's feature values, reach (m,
-    worlds) each instance's reachable worlds and weight (runs, m) each
-    instance's class digit weight per run.  gains_of maps the run codes
-    (runs, n) of n distinct left histograms to their gains.  Returns (gain,
-    attr position, op, threshold) of the first top-gain candidate in
-    (attr, op, threshold) order.
+    vals (worlds, m, attrs) holds the block's feature values, worlds first,
+    reach (m, worlds) each instance's reachable worlds, miss (worlds, m, 1)
+    0.0 at reachable and NaN at unreachable worlds, and weight (runs, m)
+    each instance's class digit weight per run.  gains_of maps the run codes
+    (runs, n) of n left histograms to their gains.  Returns (gain, attr
+    position, op, threshold) of the first top-gain candidate in (attr, op,
+    threshold) order.
+
+    The left set of `<= t` is the instances whose minimum over their
+    reachable worlds is <= t, and of `>= t` those whose maximum is >= t, so
+    it changes only at an instance's extremum.  Each attribute and op thus
+    has one candidate per distinct finite extremum, whose left set is a
+    prefix of the instances sorted by it; only the winner's threshold is
+    looked up among the reachable values.
     """
-    m, n_attrs = vals.shape[:2]
-    lo = vals.min(axis=2, where=reach[:, None, :], initial=np.inf).T
-    hi = vals.max(axis=2, where=reach[:, None, :], initial=-np.inf).T
-    pool = vals.transpose(1, 0, 2)[:, reach]   # (attrs, pool), no padding
-    pool.sort(axis=1)
-    n_pool = pool.shape[1]
-    # Merge each attribute's instances into its pool, stably and instances
-    # first: the instances ahead of a pool value v are those with min <= v
-    # (op <=) or, over negated values with the pool reversed, those with
-    # max >= v (op >=).
-    merged = np.empty((n_attrs, 2, m + n_pool))
-    merged[:, 0, :m], merged[:, 0, m:] = lo, pool
-    merged[:, 1, :m] = -hi
-    np.negative(pool[:, ::-1], out=merged[:, 1, m:])
-    n_true = np.flatnonzero(np.argsort(merged, axis=2, kind="stable") >= m)
-    del merged
-    n_true %= m + n_pool
-    n_true = n_true.reshape(n_attrs, 2, n_pool)
-    n_true -= np.arange(n_pool)
-    n_true[:, 1] = n_true[:, 1, ::-1].copy()
-    # those instances are a prefix of the instances sorted the same way, so
-    # prefix sums of their class weights are the left histograms' codes
-    by = np.argsort(np.stack([lo, -hi], axis=1), axis=2)
-    cum = np.zeros((len(ranges), n_attrs, 2, m + 1), dtype=np.int64)
-    np.cumsum(weight[:, by], axis=3, out=cum[..., 1:])
-    codes = np.take_along_axis(cum, n_true[None], axis=3)
-    # rank-compress the code before adding the next run's digits
-    code, steps = codes[0], []
-    for g in range(1, len(ranges)):
-        uniq, rank = np.unique(code, return_inverse=True)
-        steps.append(uniq)
-        code = rank.reshape(code.shape) * ranges[g] + codes[g]
-    # repeated pool values and splits with an empty side are no candidates
-    repeat = np.zeros(pool.shape, dtype=bool)
-    repeat[:, 1:] = pool[:, 1:] == pool[:, :-1]
-    code[repeat[:, None, :] | (n_true == 0) | (n_true == m)] = -1
-    uniq = np.sort(code, axis=None)
-    uniq = uniq[np.append(True, uniq[1:] != uniq[:-1]) & (uniq >= 0)]
-    if not uniq.size:
+    m = vals.shape[1]
+    # each instance's minimum and negated maximum over its reachable worlds:
+    # fmin and fmax skip the NaN that miss puts at unreachable worlds, and
+    # reducing over the leading axis is numpy's fast path.  An instance
+    # with no reachable world keys +inf, as in the exhaustive search, where
+    # it counts as lying left of `<= inf` and `>= -inf`.
+    v = vals + miss
+    key = np.stack([np.fmin.reduce(v, axis=0),
+                    -np.fmax.reduce(v, axis=0)]).transpose(2, 0, 1)
+    key[np.isnan(key)] = np.inf
+    by = np.argsort(key, axis=2)
+    key = np.sort(key, axis=2)   # (attrs, op, m), in the order of by
+    # position p puts the first p + 1 sorted instances on the left: the
+    # last position of each run of equal keys is a candidate, unless it
+    # puts every instance on the left (so a +inf key never is)
+    cand = np.zeros(key.shape, dtype=bool)
+    cand[..., :-1] = key[..., 1:] != key[..., :-1]
+    codes = np.cumsum(weight[:, by], axis=3)
+    # `>=` thresholds rise as the maximum falls
+    cand[:, 1] = cand[:, 1, ::-1].copy()
+    codes[:, :, 1] = codes[:, :, 1, ::-1].copy()
+    at = np.flatnonzero(cand)
+    if not at.size:
         return None
-    keys, c = [], uniq
-    for g in range(len(ranges) - 1, 0, -1):
-        keys.append(c % ranges[g])
-        c = steps[g - 1][c // ranges[g]]
-    gains = gains_of(np.stack([c] + keys[::-1]))
+    gains = gains_of(codes.reshape(len(codes), -1)[:, at])
     top = gains.max()
-    j, o, t = np.unravel_index(
-        np.argmax(np.isin(code, uniq[gains == top])), code.shape)
-    return float(top), int(j), ("<=", ">=")[o], float(pool[j, t])
+    j, o, p = np.unravel_index(at[np.argmax(gains == top)], cand.shape)
+    # The threshold is the left set's least reachable value: the instance
+    # minimum for `<=`, and for `>=` the least value above the next lower
+    # instance maximum.  It is read from the sorted values themselves,
+    # which keeps their sign of zero.
+    pool = np.sort(vals[:, :, j].T[reach])
+    if o == 0:
+        t = np.searchsorted(pool, key[j, 0, p], "left")
+    else:
+        # -(next lower maximum), +inf when there is none or it is -inf: the
+        # search then passes over any -inf in the pool
+        t = np.searchsorted(pool, -key[j, 1, m - p], "right")
+    return float(top), int(j), ("<=", ">=")[o], float(pool[t])
 
 
 def best_split(ls, rows, worlds, *, relations, functions, attrs):
@@ -228,8 +225,8 @@ def best_split(ls, rows, worlds, *, relations, functions, attrs):
     fn, op, threshold) order; None when no candidate partitions the node.
 
     Each (relation, function) block scores every attribute at once (see
-    _block_best), and the exact gain is computed once per distinct left
-    histogram of the node.
+    _block_best), and the exact gain of each candidate is computed in one
+    vectorised pass from a table of the node's p * log2(p) terms.
     """
     rows = np.asarray(rows)
     m = len(rows)
@@ -238,43 +235,62 @@ def best_split(ls, rows, worlds, *, relations, functions, attrs):
     k = len(ls.classes)
     labels = np.array([ls.instances[i].label for i in rows])
     parent_hist = tuple(int(c) for c in np.bincount(labels, minlength=k))
-    ent_cache = {}
     parent_h = entropy(parent_hist)
     if parent_h == 0.0:
         return None
 
     attrs = sorted(attrs)
     fns = [fn for fn in FEATURE_FNS if fn in set(functions)]
-    # a rank below the candidate count times a run's range must fit int64
-    n_cand = 2 * len(attrs) * m * worlds.shape[1]
-    radix, run, ranges = _class_runs(
-        parent_hist, np.iinfo(np.int64).max // (n_cand + 1))
-    weight = np.zeros((len(ranges), m), dtype=np.int64)
+    radix, run = _class_runs(parent_hist)
+    weight = np.zeros((run[-1] + 1, m), dtype=np.int64)
     weight[run[labels], np.arange(m)] = radix[labels]
     base = np.array(parent_hist) + 1
-    gain_of = {}   # run codes -> exact gain, shared by the node's blocks
+    # p * log2(p) for p = count / total at index count * (m + 1) + total: a
+    # table filled as the node's blocks first need it, while it holds at
+    # most TERM_TABLE_MAX entries; past that, each block computes its own
+    # distinct indices, so memory grows with the candidates, not with m**2
+    size = (max(parent_hist) + 1) * (m + 1)
+    table = np.full(size, np.nan) if size <= TERM_TABLE_MAX else None
 
-    def gains_of(keys):
-        lefts = (keys[run].T // radix) % base
-        gains = np.empty(keys.shape[1])
-        for u, key in enumerate(zip(*keys.tolist())):
-            g = gain_of.get(key)
-            if g is None:
-                left = tuple(lefts[u].tolist())
-                right = tuple(n - c for n, c in zip(parent_hist, left))
-                g = gain_of[key] = _gain(parent_h, left, right, m, ent_cache)
-            gains[u] = g
-        return gains
+    def terms(at):
+        if table is None:
+            new, inv = np.unique(at, return_inverse=True)
+            return _log_terms(new, m)[inv.reshape(at.shape)]
+        got = table[at]
+        new = np.isnan(got)
+        if new.any():
+            new = np.unique(at[new])
+            table[new] = _log_terms(new, m)
+            got = table[at]
+        return got
 
+    def gains_of(codes):
+        lefts = codes[run] // radix[:, None] % base[:, None]
+        hists = np.concatenate([lefts, base[:, None] - 1 - lefts], axis=1)
+        # total * entropy(hist) of each left and right histogram, as entropy
+        # computes it: the terms subtracted class by class, a zero count
+        # subtracting 0.0
+        total = hists.sum(axis=0)
+        got = terms(hists * (m + 1) + total)
+        h = np.zeros(hists.shape[1])
+        for t in got:
+            h -= t
+        nh, n = total * h, lefts.shape[1]
+        return parent_h - (nh[:n] + nh[n:]) / m
+
+    reaches = [(rel, ls.frame.reach(rel, worlds)) for rel in relations]
+    reaches = [(rel, reach, np.where(reach.T, 0.0, np.nan)[:, :, None])
+               for rel, reach in reaches if reach.any()]
+    if not reaches:
+        return None
     best = None  # (gain, key, Decision)
-    for rel in relations:
-        reach = ls.frame.reach(rel, worlds)
-        if not reach.any():
-            continue
-        for fn in fns:
-            fi = FN_INDEX[fn]
-            found = _block_best(ls.table[rows[:, None], fi, attrs], reach,
-                                weight, ranges, gains_of)
+    for fn in fns:
+        fi = FN_INDEX[fn]
+        # one gather per function serves every relation's block
+        vals = np.ascontiguousarray(
+            ls.table[rows[:, None], fi, attrs].transpose(2, 0, 1))
+        for rel, reach, miss in reaches:
+            found = _block_best(vals, reach, miss, weight, gains_of)
             if found is None:
                 continue
             g, j, op, thr = found
@@ -494,8 +510,10 @@ def model_from_dict(doc):
     """Rebuild a model from its JSON document; ValueError if it is malformed."""
     try:
         return _model_from_dict(doc)
-    except (AttributeError, KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError, OverflowError) as e:
         raise ValueError(f"malformed model document: {e!r}") from None
+    except RecursionError:
+        raise ValueError("model document nests too deeply") from None
 
 
 def _model_from_dict(doc):
@@ -546,5 +564,11 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read a model file; ValueError if it is not a well-formed model."""
     with open(path, "rb") as fh:
-        return model_from_dict(json.loads(fh.read().decode("utf-8")))
+        text = fh.read().decode("utf-8")
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"model file {path} nests too deeply") from None
+    return model_from_dict(doc)

@@ -14,6 +14,7 @@ import pytest
 from scipy.io import wavfile
 
 from symaudio import cli, logiset
+from symaudio.audio import decode_wav
 from symaudio.cubefile import load_cube_file, write_cube_file
 from symaudio.trees import load_model, predict_model
 from symaudio.logiset import FeatureCube
@@ -177,6 +178,93 @@ def test_featurize_survives_crafted_header_rate(tmp_path, rate, verdict):
     report = (out / "features.report.txt").read_text().splitlines()
     assert report[0] == "good.wav\tok"
     assert report[1].startswith("crafted.wav\t") and verdict in report[1]
+
+
+@pytest.mark.parametrize("claim", [2 ** 20, 0xFFFFFFF0])
+def test_featurize_reads_the_frames_a_long_header_overclaims(tmp_path, claim):
+    # a data chunk whose header claims up to 4 GiB more than the file holds
+    # decodes to the frames present (scipy may warn on stderr) and is
+    # featurized like any clip, in a process limited to a 3.5 GiB address
+    # space
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    _tone_wav(wavs / "good.wav", 440)
+    _tone_wav(wavs / "crafted.wav", 1500)
+    blob = bytearray((wavs / "crafted.wav").read_bytes())
+    at = blob.index(b"data") + 4
+    blob[at:at + 4] = struct.pack("<I", claim)
+    (wavs / "crafted.wav").write_bytes(bytes(blob))
+    assert len(decode_wav(str(wavs / "crafted.wav")).samples) == \
+        len(decode_wav(str(wavs / "good.wav")).samples) == 2400
+    manifest = wavs / "manifest.csv"
+    manifest.write_text("good.wav,a\ncrafted.wav,b\n", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "exp.cfg", out)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symaudio.cli", "featurize", str(manifest),
+         "--config", str(cfg)],
+        capture_output=True, text=True, preexec_fn=_limited_address_space,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "features.report.txt").read_text().splitlines() == \
+        ["good.wav\tok", "crafted.wav\tok", "processed 2/2"]
+
+
+def test_featurize_manifest_field_past_csv_limit_is_data_error(tmp_path,
+                                                              capsys):
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=1)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("x" * 200_000 + ".wav,lo\n")
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg)])
+    assert rc == 2
+    assert "data error: manifest line 4:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_featurize_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=1)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                   "--jobs", jobs])
+    assert rc == 1
+    assert "usage error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus,pools", [(64, [3, 3]), (2, [2, 2]),
+                                        (1, []), (None, [])])
+def test_featurize_pool_is_no_larger_than_cpus_and_files(
+        tmp_path, monkeypatch, cpus, pools):
+    # the pool is a recorder that runs in-process: nothing is forked
+    sizes = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    for i in range(3):
+        _tone_wav(wavs / f"t{i}.wav", 400 + 700 * (i % 2))
+    manifest = wavs / "manifest.csv"
+    manifest.write_text("t0.wav,a\nt1.wav,b\nt2.wav,a\n", encoding="utf-8")
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                   "--jobs", "50000"])
+    assert rc == 0
+    assert sizes == pools
 
 
 def test_featurize_without_manifest_is_config_error(tmp_path, capsys):

@@ -1,13 +1,18 @@
 """Decision construction, split search, tree/forest learning, model files."""
 import json
 import math
+import tracemalloc
+from functools import lru_cache
 from itertools import compress
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+import reference_split
+from symaudio import trees
 from symaudio.audio import FeatureCube
 from symaudio.intervals import frame
 from symaudio.logiset import Atom, atom_values, build_logiset, \
@@ -262,6 +267,173 @@ def test_best_split_gain_bounds():
                            functions=("max", "mean"), attrs=(0, 1))
         if found is not None:
             assert -1e-12 <= found[1] <= parent + 1e-12
+
+
+def _same_split(got, want):
+    """Assert got is want bit for bit; return the atom, or None for no split.
+
+    Thresholds are also compared by repr, which shows the sign of zero that
+    == cannot and that model.json writes."""
+    if want is None:
+        assert got is None
+        return None
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+    assert repr(got[0].atom.threshold) == repr(want[0].atom.threshold)
+    return want[0].atom
+
+
+def test_best_split_matches_reference_at_every_node(monkeypatch):
+    # trees grown to purity on tie-heavy noise cubes, in both modes, with
+    # 2-4 classes and attribute subsets: every node's search must return
+    # what the replaced search returns, -0.0 thresholds included (a
+    # one-pair entropy_pairs value is -0.0, a one-point one +0.0)
+    atoms = []
+
+    def both(ls, rows, worlds, **kw):
+        got = best_split(ls, rows, worlds, **kw)
+        atoms.append(_same_split(
+            got, reference_split.best_split(ls, rows, worlds, **kw)))
+        return got
+
+    monkeypatch.setattr(trees, "best_split", both)
+    rng = np.random.default_rng(3)
+    for trial in range(12):
+        mode = ("modal", "propositional")[trial % 2]
+        m, T = 16 + 4 * (trial % 3), 3 + trial % 3
+        step = (0.5, 1.0)[trial % 2]
+        series = [np.round(rng.normal(size=(4, T)) / step) * step
+                  for _ in range(m)]
+        labels = [int(c) for c in rng.integers(0, 2 + trial % 3, size=m)]
+        learn_tree(_ls(series, labels, mode=mode),
+                   LearnParams(mode=mode, min_gain=0.0, max_leaf_entropy=0.0),
+                   attrs=[(0, 1, 2, 3), (0, 2, 3), (1, 3)][trial % 3])
+    found = [a for a in atoms if a is not None]
+    assert len(found) >= 60
+    assert {a.op for a in found if repr(a.threshold) == "-0.0"} == \
+        {"<=", ">="}
+
+
+@pytest.mark.parametrize("table_max", [trees.TERM_TABLE_MAX, 0])
+def test_best_split_matches_reference_unreachable_worlds_and_codes(
+        monkeypatch, table_max):
+    # random world rows, some holding only the full interval, which has no
+    # L or AO successor; then 40 classes of 2, whose left-histogram codes
+    # range over 3**40 > 2**63.  A term table cap of 0 sends every node
+    # down the path that big nodes take.
+    monkeypatch.setattr(trees, "TERM_TABLE_MAX", table_max)
+    rng = np.random.default_rng(31)
+    fn_menu = [("max", "min", "std"), ("mean", "median"),
+               ("entropy_pairs", "stretch_high", "stretch_decr"),
+               ("transition_var", "min")]
+    n_found = 0
+    for trial in range(24):
+        n_classes = 2 + trial % 3
+        m, T = 10 + trial % 5, 3 + trial % 3
+        series = [rng.integers(0, 3, size=(5, T)) / 2.0 for _ in range(m)]
+        ls = _ls(series, [i % n_classes for i in range(m)])
+        f = ls.frame
+        worlds = rng.random((m, len(f.intervals))) < 0.3
+        worlds[::3] = False
+        worlds[:, f.index[(0, T)]] = True
+        kw = dict(relations=("Id", "L", "AO", "DBE", "Linv", "G"),
+                  functions=fn_menu[trial % len(fn_menu)],
+                  attrs=[(0, 2, 3), (1, 4), (0, 1, 2, 3, 4)][trial % 3])
+        n_found += _same_split(
+            best_split(ls, np.arange(m), worlds, **kw),
+            reference_split.best_split(ls, np.arange(m), worlds,
+                                       **kw)) is not None
+    assert n_found >= 20
+    labels = [i % 40 for i in range(80)]
+    series = [rng.integers(0, 9, size=(5, 2)) / 4.0 for _ in labels]
+    ls = _ls(series, labels, mode="propositional")
+    kw = dict(relations=("Id",), functions=("max", "mean", "std"),
+              attrs=(0, 3, 4))
+    rows, worlds = np.arange(80), _all_worlds(ls, 80)
+    assert _same_split(best_split(ls, rows, worlds, **kw),
+                       reference_split.best_split(ls, rows, worlds, **kw))
+    # left (65, 9), right (0, 1): np.log2(65 / 74) can be one ulp off
+    # math.log2's, which this gain shows
+    ls = _ls([[[0.0]]] * 74 + [[[1.0]]], [0] * 65 + [1] * 10,
+             mode="propositional")
+    kw = dict(relations=("Id",), functions=("max",), attrs=(0,))
+    rows, worlds = np.arange(75), _all_worlds(ls, 75)
+    assert _same_split(best_split(ls, rows, worlds, **kw),
+                       reference_split.best_split(ls, rows, worlds, **kw))
+
+
+
+@pytest.mark.parametrize("table_max", [trees.TERM_TABLE_MAX, 0])
+def test_best_split_matches_reference_with_infinite_values(
+        monkeypatch, table_max):
+    # a feature of values near the float64 limit can overflow to +-inf;
+    # an instance whose reachable values are all +inf must still differ
+    # from one with no reachable world, and a maximum of -inf from none
+    monkeypatch.setattr(trees, "TERM_TABLE_MAX", table_max)
+    rng = np.random.default_rng(37)
+    n_found = 0
+    for trial in range(30):
+        m, T = 8 + trial % 5, 3
+        series = [rng.integers(0, 3, size=(3, T)) / 2.0 for _ in range(m)]
+        ls = _ls(series, [i % (2 + trial % 2) for i in range(m)])
+        table = ls.table
+        table[rng.random(table.shape) < 0.15] = np.inf
+        table[rng.random(table.shape) < 0.15] = -np.inf
+        table[0, :, :, :] = (np.inf, -np.inf)[trial % 2]
+        worlds = rng.random((m, len(ls.frame.intervals))) < 0.3
+        worlds[1::3] = False
+        worlds[:, ls.frame.index[(0, T)]] = True
+        kw = dict(relations=("Id", "L", "AO", "DBEinv", "G"),
+                  functions=("max", "mean", "std"), attrs=(0, 1, 2))
+        n_found += _same_split(
+            best_split(ls, np.arange(m), worlds, **kw),
+            reference_split.best_split(ls, np.arange(m), worlds,
+                                       **kw)) is not None
+    assert n_found >= 20
+    # three instances whose every value is +inf, three with no L successor
+    # of their one world, the full interval: `>= inf` under L parts them,
+    # while `<= inf` counts the three without a successor left as well
+    ls = _ls([[[0.0, 1.0, 2.0]]] * 6, [0, 0, 0, 1, 1, 1])
+    ls.table[:3] = np.inf
+    worlds = np.zeros((6, len(ls.frame.intervals)), dtype=bool)
+    worlds[:3, ls.frame.index[(0, 1)]] = True
+    worlds[3:, ls.frame.index[(0, 3)]] = True
+    kw = dict(relations=("L",), functions=("max",), attrs=(0,))
+    atom = _same_split(
+        best_split(ls, np.arange(6), worlds, **kw),
+        reference_split.best_split(ls, np.arange(6), worlds, **kw))
+    assert (atom.op, atom.threshold) == (">=", np.inf)
+    # maxima 5, 5 (class 1) and -inf (class 0): `>=` parts them at the
+    # least value above -inf, 1.0, not at the pool's least, -inf
+    ls = _ls([[[0.0, 0.0]]] * 6, [0, 0, 1, 1, 1, 1])
+    w = [ls.frame.index[(0, 1)], ls.frame.index[(1, 2)]]
+    ls.table[:, 0, 0, w] = [[-np.inf, -np.inf]] * 2 + [[1.0, 5.0]] * 2 + \
+        [[-np.inf, 5.0]] * 2
+    worlds = np.zeros((6, len(ls.frame.intervals)), dtype=bool)
+    worlds[:, w] = True
+    kw = dict(relations=("Id",), functions=("max",), attrs=(0,))
+    atom = _same_split(
+        best_split(ls, np.arange(6), worlds, **kw),
+        reference_split.best_split(ls, np.arange(6), worlds, **kw))
+    assert (atom.op, atom.threshold) == (">=", 1.0)
+
+
+def test_best_split_memory_grows_with_candidates_not_nodes():
+    # a table of p * log2(p) over every (count, total) of a two-class node
+    # of 20,000 instances would take 10,001 * 20,001 float64s (1.6 GB)
+    m = 20_000
+    ls = _ls([[[float(i % 97)]] for i in range(m)], [i % 2 for i in range(m)],
+             mode="propositional")
+    rows, worlds = np.arange(m), _all_worlds(ls, m)
+    tracemalloc.start()
+    try:
+        found = best_split(ls, rows, worlds, relations=("Id",),
+                           functions=("max",), attrs=(0,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found is not None
+    assert peak < 32 * 2**20
 
 
 # --- tree learning -----------------------------------------------------------
@@ -540,6 +712,113 @@ def test_malformed_model_document_rejected(case):
     bad = json.loads(json.dumps(MALFORMED_MODELS[case](doc)))
     with pytest.raises(ValueError):
         model_from_dict(bad)
+
+
+@lru_cache(maxsize=None)
+def _model_json(kind):
+    rng = np.random.default_rng(53)
+    ls = _random_ls(rng, m=10, T=3, n_attrs=3)
+    params = LearnParams(min_gain=0.0, max_leaf_entropy=0.0, n_trees=2)
+    if kind == "forest":
+        return model_to_json(learn_forest(ls, params))
+    return model_to_json(model_from_tree(learn_tree(ls, params), params,
+                                         ls.classes, ls.attr_names))
+
+
+def _paths(node, prefix=()):
+    """The key path of every value inside a JSON document."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+_HOSTILE = [None, True, -1, 2 ** 64, 10 ** 400, float("nan"), float("inf"),
+            "zz", [], {}]
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=4) |
+    st.integers(-3, 3) | st.sampled_from([2 ** 64, -(10 ** 400), 10 ** 400]),
+    lambda kids: st.lists(kids, max_size=3) |
+    st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(["tree", "forest"]), st.data())
+def test_mutated_model_document_raises_only_value_errors(kind, data):
+    # drop, retype, nest or push out of range one to three of a valid
+    # document's values: the result loads or is a ValueError, nothing else
+    doc = json.loads(_model_json(kind))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        key, value = path[-1], node[path[-1]]
+        how = data.draw(st.sampled_from(
+            ["drop", "retype", "nest", "out of range"]))
+        if how == "drop":
+            del node[key]
+        elif how == "retype":
+            node[key] = data.draw(_JSON)
+        elif how == "nest":
+            node[key] = data.draw(st.sampled_from([[value], {"x": value}]))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            node[key] = data.draw(st.sampled_from(
+                [-1, 10 ** 400, value + 1, -value, float("inf")]))
+        else:
+            node[key] = data.draw(st.sampled_from(_HOSTILE))
+    try:
+        model = model_from_dict(doc)
+    except ValueError:
+        return
+    assert isinstance(model, Model)
+
+
+@pytest.mark.parametrize("kind", ["tree", "forest"])
+def test_each_model_value_mutated_raises_only_value_errors(kind):
+    # every value of a valid document, in turn dropped, nested or replaced
+    # by a wrong type or an out-of-range value
+    for path in _paths(json.loads(_model_json(kind))):
+        for how in ["drop", "nest"] + _HOSTILE:
+            doc = json.loads(_model_json(kind))
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            if how == "drop":
+                del node[path[-1]]
+            elif how == "nest":
+                node[path[-1]] = [node[path[-1]]]
+            else:
+                node[path[-1]] = how
+            try:
+                model = model_from_dict(doc)
+            except ValueError:
+                continue
+            assert isinstance(model, Model)
+
+
+def test_deep_model_documents_raise_value_error(tmp_path):
+    # a document nested 100,000 deep stops json.loads, a tree 3,000 splits
+    # deep the reader; both are malformed input, not an internal fault
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_model(path)
+    doc = json.loads(_model_json("tree"))
+    doc["params"]["mode"] = "propositional"
+    node = {"leaf": doc["classes"][0], "histogram": [1, 0]}
+    for _ in range(3000):
+        node = {"decision": {"relation": "Id", "fn": "max",
+                             "attr_name": doc["attr_names"][0], "op": "<=",
+                             "threshold": 0.5},
+                "left": node, "right": node}
+    doc["trees"] = [node]
+    with pytest.raises(ValueError):
+        model_from_dict(doc)
 
 
 def test_predict_model_validates_attrs():
