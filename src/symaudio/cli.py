@@ -234,14 +234,14 @@ def _feat_one(job):
         return ("error", str(e))
 
 
-def _map_jobs(fn, jobs, n_workers):
-    # a pool forks all its workers at once: start no more than there are
-    # jobs and CPUs
-    n_workers = min(n_workers, len(jobs), os.cpu_count() or 1)
-    if n_workers <= 1:
+def _map_jobs(fn, jobs, n_workers, pool):
+    # Runs the jobs on the pool of n_workers, or in this process without
+    # one.  Each worker takes its share in about 32 chunks, so that a long
+    # manifest does not pickle one future per row.
+    if pool is None:
         return [fn(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(fn, jobs))
+    chunk = max(1, len(jobs) // (32 * n_workers))
+    return list(pool.map(fn, jobs, chunksize=chunk))
 
 
 def cmd_featurize(args, cfg):
@@ -250,18 +250,29 @@ def cmd_featurize(args, cfg):
         raise ConfigError("featurize needs a manifest "
                           "(argument or config key)")
     rows = _read_manifest(manifest)
-    n_total = len(rows)
 
-    # Each _map_jobs forks a new pool: import what the workers need here,
-    # once, rather than in every worker of every pass.
+    # The pool forks its workers: import what they need here, once, rather
+    # than in every worker.
     needed = ["scipy.fft", "scipy.io.wavfile"]
     if cfg.bandpass_low is not None:
         needed.append("scipy.signal")
     for module in needed:
         importlib.import_module(module)
 
+    # One pool serves both passes.  It forks all its workers at once, so
+    # it starts no more than there are files and CPUs.
+    n_workers = min(args.jobs, len(rows), os.cpu_count() or 1)
+    if n_workers <= 1:
+        return _featurize_rows(rows, cfg, n_workers, None)
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        return _featurize_rows(rows, cfg, n_workers, pool)
+
+
+def _featurize_rows(rows, cfg, n_workers, pool):
+    n_total = len(rows)
     status = {}   # listed path -> error message, for failed rows
-    prepped = _map_jobs(_prep_one, [(r[0], cfg) for r in rows], args.jobs)
+    prepped = _map_jobs(_prep_one, [(r[0], cfg) for r in rows], n_workers,
+                        pool)
     alive = []
     for (resolved, listed, label), (kind, payload) in zip(rows, prepped):
         if kind == "ok":
@@ -287,8 +298,8 @@ def cmd_featurize(args, cfg):
             f"windows of {cfg.window_len} at hop {cfg.hop} "
             f"(need at least {n_min})")
 
-    feats = _map_jobs(_feat_one,
-                      [(s, n_target, cfg) for _, _, s in alive], args.jobs)
+    feats = _map_jobs(_feat_one, [(s, n_target, cfg) for _, _, s in alive],
+                      n_workers, pool)
     notes = {}
     cubes, labels = [], []
     for (listed, label, samples), (kind, payload) in zip(alive, feats):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio import FeatureCube, _physical_memory
 from .intervals import frame
@@ -18,6 +19,9 @@ FEATURE_FNS = ("max", "min", "mean", "median", "std",
                "entropy_pairs", "transition_var", "stretch_high",
                "stretch_decr")
 FN_INDEX = {name: i for i, name in enumerate(FEATURE_FNS)}
+
+# entries per block of instances; a lane counts max(its points, n_fns)
+TABLE_BLOCK = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -46,10 +50,18 @@ def _feature_table(values, intervals):
     """Every feature function over every interval of every series.
 
     values has shape (m, n_attrs, T); the result has shape
-    (m, n_fns, n_attrs, len(intervals)).  Each interval is one numpy pass
-    over (instances, attributes, points).  Every reduction runs along the
-    last, contiguous axis, so each entry is bit-identical to the same
-    function applied to one series alone.
+    (m, n_fns, n_attrs, len(intervals)).  The intervals of one length must
+    start at consecutive points, as they do in every frame.
+
+    The kernel makes one pass per interval length L.  A pass lays the
+    windows of length L out as L rows of lanes, one lane per (window
+    start, series), so that every function is elementwise work over long
+    contiguous rows.  Each entry stays bit-identical to the same function
+    applied to one series alone: wherever numpy's order of operations
+    across the rows could differ from its order along a window's points,
+    the kernel reduces along the points (_length_features).  Instances go
+    through in blocks of about TABLE_BLOCK lane entries, which bounds the
+    memory a build needs beside the table.
     """
     m, n_attrs, T = values.shape
     need = m * len(FEATURE_FNS) * n_attrs * len(intervals) * 8
@@ -59,74 +71,139 @@ def _feature_table(values, intervals):
             f"the feature table for {m} instances with n_points={T} needs "
             f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
             f"of memory")
-    table = np.empty((m, len(FEATURE_FNS), n_attrs, len(intervals)))
-    for col, (x, y) in enumerate(intervals):
-        seg = values[..., x:y]
-        out = table[..., col]
-        mean = seg.mean(axis=-1)
-        out[:, FN_INDEX["max"]] = seg.max(axis=-1)
-        out[:, FN_INDEX["min"]] = seg.min(axis=-1)
-        out[:, FN_INDEX["mean"]] = mean
-        out[:, FN_INDEX["median"]] = np.median(seg, axis=-1)
-        if y - x == 1:
-            out[:, FN_INDEX["std"]:] = 0.0
-            continue
-        out[:, FN_INDEX["std"]] = seg.std(axis=-1, ddof=1)
-        counts = _pair_counts(seg)
-        out[:, FN_INDEX["entropy_pairs"]] = _pair_entropy(counts, y - x - 1)
-        out[:, FN_INDEX["transition_var"]] = _transition_variance(counts)
-        out[:, FN_INDEX["stretch_high"]] = _longest_runs(seg > mean[..., None])
-        out[:, FN_INDEX["stretch_decr"]] = _longest_runs(
-            np.diff(seg, axis=-1) < 0.0)
+    n_fns = len(FEATURE_FNS)
+    table = np.empty((m, n_fns, n_attrs, len(intervals)))
+    if table.size == 0:
+        return table
+    by_length = {}   # L -> (first start, table columns by start)
+    for col, (x, y) in sorted(enumerate(intervals), key=lambda c: c[1]):
+        by_length.setdefault(y - x, (x, []))[1].append(col)
+    entries = n_attrs * sum(max(y - x, n_fns) for x, y in intervals)
+    step = max(1, TABLE_BLOCK // entries)
+    for i0 in range(0, m, step):
+        block = values[i0:i0 + step]
+        n = block.shape[0] * n_attrs
+        series = block.reshape(n, T)
+        by_point = np.ascontiguousarray(series.T).reshape(-1)
+        for L, (x, cols) in by_length.items():
+            S = len(cols)
+            # row r, lane (s, q) holds point x + s + r of series q
+            rows = sliding_window_view(
+                by_point[x * n:(x + S + L - 1) * n], S * n)[::n]
+            windows = sliding_window_view(series[:, x:x + S + L - 1], L,
+                                          axis=1)
+            feats = _length_features(rows, windows)
+            table[i0:i0 + step, :, :, cols] = feats.reshape(
+                n_fns, S, -1, n_attrs).transpose(2, 0, 3, 1)
     return table
 
 
-def _pair_counts(seg):
-    # Counts (..., 9) of the consecutive bin pairs 3*a + b of each series,
-    # with three equal-width bins between the series' min and max; a
-    # constant series maps everything to bin 0.
-    lo = seg.min(axis=-1, keepdims=True)
-    span = seg.max(axis=-1, keepdims=True) - lo
-    scaled = (seg - lo) / np.where(span == 0.0, 1.0, span) * 3.0
-    bins = np.minimum(np.floor(scaled).astype(np.int64), 2)
-    pairs = bins[..., :-1] * 3 + bins[..., 1:]
-    return (pairs[..., None] == np.arange(9)).sum(axis=-2, dtype=np.float64)
+def _length_features(rows, windows):
+    # The (n_fns, lanes) features of the windows of one length: rows is
+    # (L, lanes), windows the same windows as (series, starts, L).
+    L, lanes = rows.shape
+    feats = np.empty((len(FEATURE_FNS), lanes))
+
+    # A max or min across the rows is the one along the points, up to which
+    # of two equal zeros it keeps; numpy's choice there depends on the width
+    # of its vector loop, so a zero result is taken again along its
+    # window's points, as a series alone is reduced.
+    hi = rows.max(axis=0)
+    lo = rows.min(axis=0)
+    n = windows.shape[0]
+    for ext, reduce in ((hi, np.max), (lo, np.min)):
+        zero = np.flatnonzero(ext == 0.0)
+        if zero.size:
+            ext[zero] = reduce(windows[zero % n, zero // n], axis=-1)
+
+    def along_points(fn, **kwargs):
+        # numpy adds fewer than 8 numbers one by one, so there a mean or std
+        # across the rows has the bits of one along each window's points,
+        # at a fraction of the cost; from 8 points on it adds them pairwise
+        # along the points
+        if L < 8:
+            return fn(rows, axis=0, **kwargs)
+        return fn(windows, axis=-1, **kwargs).T.reshape(-1)
+
+    mean = along_points(np.mean)
+    feats[FN_INDEX["max"]] = hi
+    feats[FN_INDEX["min"]] = lo
+    feats[FN_INDEX["mean"]] = mean
+    feats[FN_INDEX["median"]] = np.median(rows, axis=0)
+    if L == 1:
+        feats[FN_INDEX["std"]:] = 0.0
+        return feats
+    feats[FN_INDEX["std"]] = along_points(np.std, ddof=1)
+    counts = _pair_counts(rows, lo, hi)
+    feats[FN_INDEX["entropy_pairs"]] = _pair_entropy(counts, L - 1)
+    feats[FN_INDEX["transition_var"]] = _transition_variance(counts)
+    feats[FN_INDEX["stretch_high"]] = _longest_runs(rows > mean)
+    feats[FN_INDEX["stretch_decr"]] = _longest_runs(rows[1:] - rows[:-1] < 0.0)
+    return feats
+
+
+def _pair_counts(rows, lo, hi):
+    # Integer counts (9, lanes) of the consecutive bin pairs 3*a + b of
+    # each lane, with three equal-width bins between the lane's min and
+    # max; a constant lane maps everything to bin 0.
+    span = hi - lo
+    scaled = rows - lo
+    scaled /= np.where(span == 0.0, 1.0, span)
+    scaled *= 3.0
+    bins = np.floor(scaled, out=scaled).astype(np.int64)
+    np.minimum(bins, 2, out=bins)
+    codes = bins[:-1] * 3
+    codes += bins[1:]
+    lanes = rows.shape[1]
+    # a span past the largest float makes NaN bins, whose pairs fall
+    # outside 0..8 and count nowhere
+    drop = None if np.isfinite(span).all() else (codes < 0) | (codes > 8)
+    codes *= lanes
+    codes += np.arange(lanes)
+    if drop is not None:
+        codes[drop] = 9 * lanes
+    counts = np.bincount(codes.reshape(-1), minlength=9 * lanes + 1)
+    return counts[:9 * lanes].reshape(9, lanes)
 
 
 def _pair_entropy(counts, n_pairs):
-    # Shannon entropy (nats) of the pair distribution.  The nonzero terms
-    # are summed in the order np.sum takes them once the empty bins are
-    # dropped: one by one below 8 terms, else numpy's pairwise block of 8
-    # accumulators and then the ninth term.  Summing the 9 zero-padded
-    # terms directly would differ in the last bit.
-    hit = counts > 0.0
-    p = counts / n_pairs
-    terms = np.where(hit, p * np.log(np.where(hit, p, 1.0)), 0.0)
-    t = np.take_along_axis(terms, np.argsort(~hit, axis=-1, kind="stable"),
-                           axis=-1)
-    total = t[..., 0]
-    for j in range(1, 9):
-        total = total + t[..., j]
-    block = (((t[..., 0] + t[..., 1]) + (t[..., 2] + t[..., 3]))
-             + ((t[..., 4] + t[..., 5]) + (t[..., 6] + t[..., 7]))) + t[..., 8]
-    return -np.where(hit.sum(axis=-1) >= 8, block, total)
+    # Shannon entropy (nats) of the pair distribution.  A count c gives the
+    # term p*log(p) with p = c / n_pairs, looked up by c.  np.sum adds the
+    # nonzero terms one by one below 8 of them, and the zero terms of the
+    # empty bins change no such sum.  From 8 nonzero terms on it sums them
+    # pairwise, so those lanes put their empty bins last and numpy sums
+    # each lane's 9 terms along a contiguous axis.
+    p = np.arange(1, n_pairs + 1) / n_pairs
+    terms = np.concatenate([[0.0], p * np.log(p)])[counts]
+    total = np.zeros(counts.shape[1])
+    for row in terms:
+        total += row
+    if n_pairs >= 8:
+        hit = counts.T > 0
+        rich = np.flatnonzero(hit.sum(axis=1) >= 8)
+        order = np.argsort(~hit[rich], axis=1, kind="stable")
+        total[rich] = np.ascontiguousarray(
+            np.take_along_axis(terms.T[rich], order, axis=1)).sum(axis=1)
+    return -total
 
 
 def _transition_variance(counts):
-    # variance of the 9 transition probability entries; rows with no
-    # outgoing transitions stay all zero
-    c = counts.reshape(counts.shape[:-1] + (3, 3))
-    rowsum = c.sum(axis=-1, keepdims=True)
-    probs = np.divide(c, rowsum, out=np.zeros_like(c), where=rowsum > 0.0)
-    return probs.reshape(counts.shape).var(axis=-1)
+    # variance of the 9 transition probability entries of each lane,
+    # taken along the lane's contiguous entries; rows with no outgoing
+    # transitions stay all zero
+    probs = np.ascontiguousarray(counts.T, dtype=np.float64)
+    c = probs.reshape(-1, 3, 3)
+    c /= np.maximum(c[:, :, 0] + c[:, :, 1] + c[:, :, 2], 1.0)[:, :, None]
+    return probs.var(axis=-1)
 
 
 def _longest_runs(mask):
-    # length of the longest run of True along the last axis
-    run = np.zeros(mask.shape[:-1], dtype=np.int64)
+    # length of the longest run of True in each lane, over the rows
+    run = np.zeros(mask.shape[1])
     best = run.copy()
-    for j in range(mask.shape[-1]):
-        run = np.where(mask[..., j], run + 1, 0)
+    for row in mask:
+        run += 1.0
+        run *= row
         np.maximum(best, run, out=best)
     return best
 

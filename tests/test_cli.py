@@ -232,11 +232,12 @@ def test_featurize_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
     assert "usage error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cpus,pools", [(64, [3, 3]), (2, [2, 2]),
+@pytest.mark.parametrize("cpus,pools", [(64, [3]), (2, [2]),
                                         (1, []), (None, [])])
 def test_featurize_pool_is_no_larger_than_cpus_and_files(
         tmp_path, monkeypatch, cpus, pools):
-    # the pool is a recorder that runs in-process: nothing is forked
+    # the pool is a recorder that runs in-process: nothing is forked; one
+    # pool serves both passes of a command
     sizes = []
 
     class Recorder:
@@ -249,7 +250,7 @@ def test_featurize_pool_is_no_larger_than_cpus_and_files(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
@@ -265,6 +266,30 @@ def test_featurize_pool_is_no_larger_than_cpus_and_files(
                    "--jobs", "50000"])
     assert rc == 0
     assert sizes == pools
+
+
+def test_featurize_long_manifest_of_missing_files(tmp_path, monkeypatch,
+                                                  capsys):
+    # 20,000 rows go to the workers in chunks, not as one future per row
+    submits = []
+
+    class Counting(cli.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submits.append(1)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Counting)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("".join(f"ghost_{i}.wav,{'ab'[i % 2]}\n"
+                                for i in range(20_000)), encoding="utf-8")
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                   "--jobs", "2"])
+    assert rc == 2
+    assert "no usable audio among 20000 files" in capsys.readouterr().err
+    assert len(submits) <= 2 * 32 + 1
+    report = (tmp_path / "out" / "features.report.txt").read_text()
+    assert report.splitlines()[-1] == "processed 0/20000"
 
 
 def test_featurize_without_manifest_is_config_error(tmp_path, capsys):
@@ -328,6 +353,16 @@ def test_explicit_cube_argument(workspace, tmp_path):
     assert rc == 0
     assert (out2 / "model.json").exists()
 
+
+
+def test_train_on_cube_without_attributes(tmp_path, capsys):
+    cube = tmp_path / "empty.cube"
+    write_cube_file(str(cube), (), ("a", "b"), np.zeros((6, 0, 5)),
+                    [0, 1] * 3)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = cli.main(["train", str(cube), "--config", str(cfg)])
+    assert rc == 0
+    assert (tmp_path / "out" / "model.json").exists()
 
 # --- determinism ------------------------------------------------------------
 

@@ -1,4 +1,6 @@
 """Feature functions, per-instance tables, and logiset assembly."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -137,21 +139,74 @@ def test_table_matches_scalar_reference_bitwise(mode, T):
     if T >= 9:
         bins = scalar_features._bins3(rich[0, 0, :9])
         assert len(set(zip(bins[:-1], bins[1:]))) == 8
+    # from 8 points on, a reduction over the points may keep either zero
+    zeros = rng.choice([-0.0, 0.0], size=(m, n, T))
+    mixed = np.where(rng.random((m, n, T)) < 0.3, 1.0, zeros)
     for values in (rng.normal(size=(m, n, T)),
                    np.round(rng.normal(size=(m, n, T)) * 2.0) / 2.0,
                    np.full((m, n, T), -1.75),
-                   rich):
+                   rich, zeros, mixed, -mixed):
         _assert_tables_match_reference(values, mode)
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 14),
        st.sampled_from(["modal", "propositional"]), st.data())
 def test_table_matches_scalar_reference_property(m, n, T, mode, data):
-    # a few levels make ties, constant runs and repeated pairs common
-    levels = st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5])
+    # a few levels make ties, constant runs and repeated pairs common;
+    # both zeros test which one max, min and median keep
+    levels = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.5])
     flat = data.draw(st.lists(levels, min_size=m * n * T,
                               max_size=m * n * T))
     _assert_tables_match_reference(np.reshape(flat, (m, n, T)), mode)
+
+
+@pytest.mark.parametrize("mode", ["modal", "propositional"])
+def test_table_matches_scalar_reference_past_overflow(mode):
+    # sums of a few such values pass the largest float: mean and std
+    # overflow, while max - min stays finite
+    rng = np.random.default_rng(7)
+    values = rng.choice([-1.0, 1.0], size=(3, 2, 12)) \
+        * rng.uniform(0.5, 0.8, size=(3, 2, 12)) * 1e308
+    values[0, 0] = np.abs(values[0, 0])
+    values[1] = rng.normal(size=(2, 12)) * 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = scalar_features.reference_table(values, ((0, 12),))
+        assert np.isinf(want[:, FN_INDEX["mean"]]).any()
+        assert np.isinf(want[:, FN_INDEX["std"]]).any()
+        _assert_tables_match_reference(values, mode)
+
+
+def test_table_builds_when_max_minus_min_overflows():
+    # max - min overflows to inf: a point whose distance from the min
+    # overflows as well gets a NaN bin, and its pairs count nowhere; the
+    # other functions are unaffected
+    values = np.array([[[-1.7e308, 1.7e308, 0.0, 1e308, -1e308, 5.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ls = build_logiset([_cube(values[0])], [0])
+        for fn in ("max", "min", "mean", "median", "std"):
+            for w in ls.frame.intervals:
+                want = scalar_features.compute_feature(fn, values[0, 0], w)
+                got = ls.table[0, FN_INDEX[fn], 0, ls.frame.index[w]]
+                assert _same_bits(np.float64(got), np.float64(want))
+
+
+@pytest.mark.parametrize("T", [129, 300])
+def test_table_matches_scalar_reference_long_series(T):
+    # past 128 points numpy splits a sum in halves, recursively
+    rng = np.random.default_rng(T)
+    for values in (rng.normal(size=(3, 4, T)), _pair_rich(rng, 3, 4, T),
+                   np.round(rng.normal(size=(3, 4, T)) * 2.0) / 2.0):
+        _assert_tables_match_reference(values, "propositional")
+
+
+@pytest.mark.parametrize("mode", ["modal", "propositional"])
+def test_cube_without_attributes_builds_an_empty_table(mode):
+    cube = FeatureCube((), np.zeros((0, 5)))
+    ls = build_logiset([cube, cube], [0, 1], mode=mode)
+    n_intervals = len(ls.frame.intervals)
+    assert ls.table.shape == (2, len(FEATURE_FNS), 0, n_intervals)
+    assert instance_from_cube(cube, mode).table.shape == \
+        (len(FEATURE_FNS), 0, n_intervals)
 
 
 def test_table_size_guard(monkeypatch):
@@ -168,6 +223,22 @@ def test_table_size_guard(monkeypatch):
     assert build_logiset(cubes, [0, 1, 0, 1]).table.nbytes == need
     monkeypatch.setattr(logiset, "_physical_memory", lambda: None)
     assert build_logiset(cubes, [0, 1, 0, 1]).table.nbytes == need
+
+
+def test_build_memory_beside_the_table_is_bounded():
+    # 4000 x 2 series of 8 points: 288,000 lanes over 8 lengths.  Without
+    # blocks of instances the work arrays alone would take about 20 MiB.
+    values = np.random.default_rng(3).normal(size=(4000, 2, 8))
+    cubes = [_cube(v) for v in values]
+    labels = [i % 2 for i in range(len(cubes))]
+    tracemalloc.start()
+    try:
+        table = build_logiset(cubes, labels).table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 4000 * 9 * 2 * 36 * 8
+    assert peak - table.nbytes < 8 * 2**20
 
 
 def test_atom_eval_examples():
