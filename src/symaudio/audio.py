@@ -527,9 +527,9 @@ def delta(series, half_window=2):
 
 
 def mfcc_with_deltas(mel, n_coeffs=13):
-    """Cepstral coefficients 0..n-1 plus first and second slope series."""
-    mel_matrix = np.vstack(list(mel.values())) if isinstance(mel, dict) else \
-        np.asarray(mel, dtype=np.float64)
+    """Cepstral coefficients 0..n-1 plus first and second slope series of
+    the named Mel band series."""
+    mel_matrix = np.vstack(list(mel.values()))
     if n_coeffs < 1 or n_coeffs > mel_matrix.shape[0]:
         raise ValueError("n_coeffs must be in 1..n_filters")
     c = mel_to_mfcc(mel_matrix, n_coeffs)

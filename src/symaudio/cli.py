@@ -218,6 +218,8 @@ def _prep_one(job):
 
 
 def _feat_one(job):
+    """Featurize one conditioned clip cut or padded to n_target samples;
+    returns ('ok', (names, values)) or ('error', message)."""
     samples, n_target, cfg = job
     try:
         if len(samples) >= n_target:
@@ -229,7 +231,7 @@ def _feat_one(job):
         cube = featurize_signal(sig, window_len=cfg.window_len, hop=cfg.hop,
                                 n_mel=cfg.n_mel, n_mfcc=cfg.n_mfcc,
                                 n_points=cfg.n_points, overlap=cfg.overlap)
-        return ("ok", cube.values)
+        return ("ok", (cube.names, cube.values))
     except ValueError as e:
         return ("error", str(e))
 
@@ -304,7 +306,8 @@ def _featurize_rows(rows, cfg, n_workers, pool):
     cubes, labels = [], []
     for (listed, label, samples), (kind, payload) in zip(alive, feats):
         if kind == "ok":
-            cubes.append(payload)
+            names, values = payload
+            cubes.append(values)
             labels.append(label)
             if len(samples) < n_target:
                 notes[listed] = (f"zero-padded {len(samples)} -> "
@@ -321,7 +324,6 @@ def _featurize_rows(rows, cfg, n_workers, pool):
 
     classes = tuple(sorted(set(labels)))
     class_id = {c: i for i, c in enumerate(classes)}
-    names = _feature_names(cfg)
     write_cube_file(os.path.join(cfg.out_dir, CUBE_NAME), names, classes,
                     np.stack(cubes), [class_id[l] for l in labels])
     n_failed = n_total - n_ok
@@ -332,16 +334,6 @@ def _featurize_rows(rows, cfg, n_workers, pool):
               file=sys.stderr)
         return 2
     return 0
-
-
-def _feature_names(cfg):
-    """Attribute names for the configured front end, probed on silence."""
-    n = cfg.window_len + (cfg.n_points - 1) * cfg.hop
-    probe = AudioSignal(samples=np.full(n, 1e-6), sample_rate=cfg.resample_hz)
-    cube = featurize_signal(probe, window_len=cfg.window_len, hop=cfg.hop,
-                            n_mel=cfg.n_mel, n_mfcc=cfg.n_mfcc,
-                            n_points=cfg.n_points, overlap=cfg.overlap)
-    return cube.names
 
 
 def _write_report(path, rows, status, n_ok, n_total, notes=None):

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 from .audio import _physical_memory
-from .intervals import RELATIONS
 from .logiset import FEATURE_FNS
 from .trees import DEFAULT_RELATIONS, LearnParams
 
@@ -113,9 +112,6 @@ def _coerce(key, value):
         names = tuple(tok.strip() for tok in value.split(",") if tok.strip())
         if not names:
             raise ConfigError("relations cannot be empty")
-        for name in names:
-            if name not in RELATIONS or name == "Id":
-                raise ConfigError(f"unknown relation {name!r}")
         return names
     raise ConfigError(f"unknown config key {key!r}")
 
@@ -135,14 +131,8 @@ def validate_config(cfg):
         bad("n_points must be at least 2")
     if not 0.0 <= cfg.overlap < 1.0:
         bad("overlap must lie in [0, 1)")
-    if cfg.min_gain < 0 or cfg.max_leaf_entropy < 0:
-        bad("min_gain and max_leaf_entropy must be >= 0")
-    if cfg.n_trees < 1 or cfg.repeats < 1 or cfg.rules_trees < 1:
-        bad("n_trees, repeats, and rules_trees must be at least 1")
-    if cfg.seed < 0:
-        bad("seed must be a non-negative integer")
-    if not 0.0 < cfg.instance_frac <= 1.0 or not 0.0 < cfg.attr_frac <= 1.0:
-        bad("sampling fractions must lie in (0, 1]")
+    if cfg.repeats < 1 or cfg.rules_trees < 1:
+        bad("repeats and rules_trees must be at least 1")
     if not 0.0 < cfg.train_frac < 1.0:
         bad("train_frac must lie strictly between 0 and 1")
     if (cfg.bandpass_low is None) != (cfg.bandpass_high is None):
@@ -167,6 +157,11 @@ def validate_config(cfg):
         bad("trim_frame_ms must be positive")
     if cfg.trim_threshold_db <= 0:
         bad("trim_threshold_db must be positive")
+    # the learner settings are checked where they are used
+    try:
+        learn_params_from(cfg)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     return cfg
 
 

@@ -7,7 +7,6 @@ into ordered rule lists whose antecedents are interval logic formulas.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -174,65 +173,37 @@ def flip_atom(atom):
     return Atom(fn=atom.fn, attr=atom.attr, op=op, threshold=atom.threshold)
 
 
-def _render_items(items):
-    parts = [_render_item(it) for it in items]
-    if len(parts) == 1:
-        return parts[0]
-    return And(tuple(parts))
+def _antecedent(path, mode):
+    # The conjunction that the edges of one decision path state, under one
+    # rule per edge.  An open witness scope is a (relation, items) pair,
+    # rendered as <relation> over its items; inner is the innermost one,
+    # whose worlds the next edge's relation starts from.
+    top, inner = [], None
+    for (rel, atom), truth in path:
+        item = atom if truth else flip_atom(atom)
+        if rel not in ("G", "Id"):
+            if mode != "modal":
+                raise ValueError(
+                    f"modal relation {rel} in a propositional tree")
+            item = (rel, [item]) if truth else Box(rel, item)
+        if rel == "G" or (inner is None and mode == "modal"):
+            # the edge speaks of all worlds: a false one holds at every
+            # world, a true one at a witness that opens a new top scope
+            if not truth:
+                top.append(Box("G", item))
+                continue
+            inner = []
+            top.append(("G", inner))
+        (top if inner is None else inner).append(item)
+        if isinstance(item, tuple):
+            inner = item[1]
+    return _conjunction(top)
 
 
-def _render_item(item):
-    if isinstance(item, tuple) and item and item[0] == "scope":
-        _, rel, body = item
-        return Diamond(rel, _render_items(body))
-    return item
-
-
-def _true_edge(top, stack, rel, atom, mode):
-    if rel == "G":
-        body = [atom]
-        top.append(("scope", "G", body))
-        stack[:] = [body]
-    elif rel == "Id":
-        if stack:
-            stack[-1].append(atom)
-        elif mode == "modal":
-            body = [atom]
-            top.append(("scope", "G", body))
-            stack[:] = [body]
-        else:
-            top.append(atom)
-    else:
-        body = [atom]
-        if stack:
-            stack[-1].append(("scope", rel, body))
-            stack.append(body)
-        elif mode == "modal":
-            top.append(("scope", "G", [("scope", rel, body)]))
-            stack[:] = [body]
-        else:
-            raise ValueError(
-                f"modal relation {rel} in a propositional tree")
-
-
-def _false_edge(top, stack, rel, neg, mode):
-    if rel == "G":
-        top.append(Box("G", neg))
-    elif rel == "Id":
-        if stack:
-            stack[-1].append(neg)
-        elif mode == "modal":
-            top.append(Box("G", neg))
-        else:
-            top.append(neg)
-    else:
-        if stack:
-            stack[-1].append(Box(rel, neg))
-        elif mode == "modal":
-            top.append(Box("G", Box(rel, neg)))
-        else:
-            raise ValueError(
-                f"modal relation {rel} in a propositional tree")
+def _conjunction(items):
+    parts = [Diamond(it[0], _conjunction(it[1])) if isinstance(it, tuple)
+             else it for it in items]
+    return parts[0] if len(parts) == 1 else And(tuple(parts))
 
 
 def extract_rules(tree, mode="modal"):
@@ -245,20 +216,17 @@ def extract_rules(tree, mode="modal"):
     """
     rules = []
 
-    def walk(node, top, stack):
+    def walk(node, path):
         if isinstance(node, Leaf):
-            rules.append(Rule(_render_items(top), node.class_id))
+            rules.append(Rule(_antecedent(path, mode), node.class_id))
             return
-        rel = node.decision.relation
-        atom = node.decision.atom
-        t_top, t_stack = copy.deepcopy((top, stack))
-        _true_edge(t_top, t_stack, rel, atom, mode)
-        walk(node.left, t_top, t_stack)
-        f_top, f_stack = copy.deepcopy((top, stack))
-        _false_edge(f_top, f_stack, rel, flip_atom(atom), mode)
-        walk(node.right, f_top, f_stack)
+        edge = (node.decision.relation, node.decision.atom)
+        for child, truth in ((node.left, True), (node.right, False)):
+            path.append((edge, truth))
+            walk(child, path)
+            path.pop()
 
-    walk(tree, [], [])
+    walk(tree, [])
     return rules
 
 

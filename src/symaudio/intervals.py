@@ -195,7 +195,7 @@ def format_formula(phi, attr_names):
         return " & ".join(_wrap_binary(p, attr_names, Or) for p in phi.parts)
     if isinstance(phi, Or):
         if not phi.parts:
-            return "true"
+            return "!(true)"
         return " | ".join(_wrap_binary(p, attr_names, And) for p in phi.parts)
     if isinstance(phi, Diamond):
         return f"<{phi.rel}>({format_formula(phi.sub, attr_names)})"

@@ -145,8 +145,16 @@ def _length_features(rows, windows):
 def _pair_counts(rows, lo, hi):
     # Integer counts (9, lanes) of the consecutive bin pairs 3*a + b of
     # each lane, with three equal-width bins between the lane's min and
-    # max; a constant lane maps everything to bin 0.
-    span = hi - lo
+    # max; a constant lane maps everything to bin 0.  A lane whose max - min
+    # overflows is binned from its values halved, which is exact there, so
+    # it gets the bins of the same window at half scale.
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    wide = np.isinf(span)
+    if wide.any():
+        half = np.where(wide, 0.5, 1.0)
+        rows, lo = rows * half, lo * half
+        span = hi * half - lo
     scaled = rows - lo
     scaled /= np.where(span == 0.0, 1.0, span)
     scaled *= 3.0
@@ -155,15 +163,10 @@ def _pair_counts(rows, lo, hi):
     codes = bins[:-1] * 3
     codes += bins[1:]
     lanes = rows.shape[1]
-    # a span past the largest float makes NaN bins, whose pairs fall
-    # outside 0..8 and count nowhere
-    drop = None if np.isfinite(span).all() else (codes < 0) | (codes > 8)
     codes *= lanes
     codes += np.arange(lanes)
-    if drop is not None:
-        codes[drop] = 9 * lanes
-    counts = np.bincount(codes.reshape(-1), minlength=9 * lanes + 1)
-    return counts[:9 * lanes].reshape(9, lanes)
+    return np.bincount(codes.reshape(-1), minlength=9 * lanes).reshape(
+        9, lanes)
 
 
 def _pair_entropy(counts, n_pairs):

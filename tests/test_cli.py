@@ -1,5 +1,6 @@
 """End-to-end command line tests on a tiny synthetic tone corpus."""
 
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -345,6 +346,34 @@ def test_rules_writes_csv(workspace, capsys):
     assert rows[0] == "antecedent,consequent,coverage,confidence"
 
 
+@pytest.mark.parametrize("mode, digest", [
+    ("modal",
+     "2111bb813a030687c119200f5170c22a227af9924ec2741ccc9a716c26bce64c"),
+    ("prop",
+     "f74567211f57c2e1a890c58c464b2884c05c6bcccaeb15cbf4265217c99a73a0"),
+])
+def test_rules_csv_bytes_are_pinned(tmp_path, mode, digest):
+    # a cube whose held-out halves keep 5-6 rules per mode, among them
+    # modal ones whose path leaves the root's false branch with no witness
+    # scope open; the digests were recorded before the edge rule was
+    # rewritten and pin the rule text byte for byte
+    rng = np.random.default_rng(46)
+    values = rng.integers(0, 9, size=(80, 3, 5)) / 8.0
+    rises = np.diff(values[:, 0], axis=1).max(axis=1) >= 0.5
+    cube = tmp_path / "rise.cube"
+    write_cube_file(str(cube), ("a0", "a1", "a2"), ("flat", "rise"), values,
+                    [int(r) for r in rises])
+    cfg = tmp_path / "rules.cfg"
+    cfg.write_text(f"out_dir={tmp_path / 'out'}\nmode={mode}\n"
+                   "train_frac=0.5\nrules_trees=3\nseed=0\n",
+                   encoding="utf-8")
+    rc = cli.main(["rules", str(cube), "--config", str(cfg)])
+    assert rc == 0
+    data = (tmp_path / "out" / "rules.csv").read_bytes()
+    assert len(data.splitlines()) > 5
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 def test_explicit_cube_argument(workspace, tmp_path):
     out2 = tmp_path / "other"
     cfg2 = _write_config(tmp_path / "exp.cfg", out2)
@@ -430,6 +459,17 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, line):
     assert rc == 1
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", [
+    "relations=L,Q", "min_gain=-1", "attr_frac=1.5"])
+def test_bad_learner_setting_is_config_error(workspace, capsys, line):
+    # LearnParams rejects these; the command still reports a config error
+    cfg = _write_config(workspace["base"] / "bad.cfg", workspace["out"],
+                        [line])
+    rc = cli.main(["train", "--config", str(cfg)])
+    assert rc == 1
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_missing_cube_is_data_error(tmp_path, capsys):

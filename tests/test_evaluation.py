@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import reference_rules
 from symaudio.audio import FeatureCube
 from symaudio.intervals import And, Box, Diamond, format_formula
 from symaudio.logiset import Atom, build_logiset, instance_from_cube
@@ -250,6 +251,84 @@ def test_rules_match_routing_as_ordered_list():
                        if rule_satisfied(r, inst))
             assert got == want
             assert rules[got].consequent == leaf.class_id
+
+
+def _assert_rules_match_reference(tree, mode, names):
+    want = reference_rules.extract_rules(tree, mode=mode)
+    got = extract_rules(tree, mode=mode)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.antecedent == w.antecedent
+        assert g.consequent == w.consequent
+        assert format_formula(g.antecedent, names) == \
+            format_formula(w.antecedent, names)
+    return len(got)
+
+
+def test_extract_rules_matches_reference_on_grown_trees():
+    # trees grown to purity: every modal root splits under G, and a root
+    # whose false branch splits again is where no witness scope is open
+    names = ("a0", "a1", "a2")
+    n_rules = 0
+    root_false_splits = {"modal": 0, "propositional": 0}
+    for mode in ("modal", "propositional"):
+        for seed in range(32):
+            rng = np.random.default_rng((seed, 17))
+            T = 3 + seed % 4
+            k = 2 + seed % 3
+            series = rng.integers(0, 9, size=(28, 3, T)) / 8.0
+            labels = [int(x) for x in rng.integers(0, k, size=28)]
+            ls = build_logiset([_cube(s, names) for s in series], labels,
+                               mode=mode)
+            tree = learn_tree(ls, LearnParams(mode=mode, min_gain=0.0,
+                                              max_leaf_entropy=0.0))
+            n_rules += _assert_rules_match_reference(tree, mode, names)
+            if isinstance(tree, Split) and isinstance(tree.right, Split):
+                root_false_splits[mode] += 1
+    assert n_rules >= 500
+    assert min(root_false_splits.values()) >= 10
+
+
+def _random_tree(rng, relations, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return Leaf(class_id=int(rng.integers(0, 3)), histogram=(1, 1, 1))
+    atom = Atom(fn="mean", attr=int(rng.integers(0, 2)),
+                op=(">=", "<=")[int(rng.integers(0, 2))],
+                threshold=float(rng.integers(-4, 5)) / 4.0)
+    rel = relations[int(rng.integers(0, len(relations)))]
+    return Split(decision=Decision(rel, atom),
+                 left=_random_tree(rng, relations, depth - 1),
+                 right=_random_tree(rng, relations, depth - 1))
+
+
+def _relations(node):
+    if isinstance(node, Leaf):
+        return set()
+    return {node.decision.relation} | _relations(node.left) | \
+        _relations(node.right)
+
+
+@pytest.mark.parametrize("mode", ["modal", "propositional"])
+def test_extract_rules_matches_reference_on_any_edge_sequence(mode):
+    # any relation on any edge, including G below the root and Id while no
+    # scope is open; every eighth propositional tree may hold modal
+    # relations, which are refused there even below a G edge, where the
+    # reference let them open <R> scopes
+    relations = ("Id", "G", "L", "Linv", "AO", "DBEinv")
+    names = ("a0", "a1")
+    rng = np.random.default_rng(23 if mode == "modal" else 29)
+    n_rules = n_refused = 0
+    for i in range(200):
+        rels = relations if mode == "modal" or i % 8 == 0 else ("Id", "G")
+        tree = _random_tree(rng, rels, 5)
+        if mode == "propositional" and _relations(tree) - {"Id", "G"}:
+            with pytest.raises(ValueError, match="propositional tree"):
+                extract_rules(tree, mode=mode)
+            n_refused += 1
+            continue
+        n_rules += _assert_rules_match_reference(tree, mode, names)
+    assert n_rules >= 500
+    assert (n_refused > 0) == (mode == "propositional")
 
 
 def test_rule_metrics_filters():

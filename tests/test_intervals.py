@@ -9,7 +9,7 @@ import oracles
 from symaudio.audio import FeatureCube
 from symaudio.intervals import (And, Box, Diamond, Not, Or, RELATIONS, check,
                                 enumerate_intervals, format_formula, frame,
-                                parse_formula, relates)
+                                holds, parse_formula, relates)
 from symaudio.logiset import Atom, instance_from_cube
 
 
@@ -273,6 +273,18 @@ def test_format_parse_round_trip():
         phi = _random_formula(rng, int(rng.integers(0, 4)))
         text = format_formula(phi, names)
         assert parse_formula(text, names) == phi
+
+
+def test_empty_or_text_parses_back_to_false():
+    # an empty Or holds nowhere, so its text must not read as "true"
+    names = ("a",)
+    inst = instance_from_cube(FeatureCube(names, np.zeros((1, 4))), "modal")
+    atom = Atom(fn="max", attr=0, op=">=", threshold=0.0)
+    for phi in (Or(()), Diamond("L", Or(())), And((atom, Or(()))),
+                Or((Or(()), Or(())))):
+        back = parse_formula(format_formula(phi, names), names)
+        assert not holds(back, inst).any()
+        assert holds(back, inst).tolist() == holds(phi, inst).tolist()
 
 
 def test_operator_precedence():

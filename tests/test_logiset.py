@@ -1,5 +1,6 @@
 """Feature functions, per-instance tables, and logiset assembly."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -177,17 +178,26 @@ def test_table_matches_scalar_reference_past_overflow(mode):
 
 
 def test_table_builds_when_max_minus_min_overflows():
-    # max - min overflows to inf: a point whose distance from the min
-    # overflows as well gets a NaN bin, and its pairs count nowhere; the
-    # other functions are unaffected
+    # max - min overflows to inf: the pair functions bin such a window at
+    # half scale, with no NaN bin to cast, so they read as on the halved
+    # cube; the other functions are unaffected
     values = np.array([[[-1.7e308, 1.7e308, 0.0, 1e308, -1e308, 5.0]]])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught, \
+            np.errstate(over="ignore", invalid="warn"):
+        warnings.simplefilter("always")
         ls = build_logiset([_cube(values[0])], [0])
         for fn in ("max", "min", "mean", "median", "std"):
             for w in ls.frame.intervals:
                 want = scalar_features.compute_feature(fn, values[0, 0], w)
                 got = ls.table[0, FN_INDEX[fn], 0, ls.frame.index[w]]
                 assert _same_bits(np.float64(got), np.float64(want))
+    assert not [w for w in caught if "cast" in str(w.message)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        halved = build_logiset([_cube(values[0] / 2.0)], [0])
+    for fn in ("entropy_pairs", "transition_var"):
+        got = ls.table[0, FN_INDEX[fn]]
+        want = halved.table[0, FN_INDEX[fn]]
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("T", [129, 300])
