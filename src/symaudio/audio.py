@@ -131,6 +131,15 @@ def _physical_memory():
     return limit if have is None else min(have, limit)
 
 
+def require_memory(need, what):
+    """The memory budget, asked before allocating: ValueError naming `what`
+    if `need` bytes exceed _physical_memory(), where the platform says it."""
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(f"{what} needs {need / 2**30:.1f} GiB, more than "
+                         f"the {have / 2**30:.1f} GiB of memory")
+
+
 # Chebyshev coefficients of exp(-x) I0(x) for 0 <= x <= 8 (Cephes i0.c),
 # the series np.i0 evaluates on that range.
 _I0_CHEB = (
@@ -229,12 +238,8 @@ def resample(sig, target_rate):
     if taps > MAX_TAPS:
         raise ValueError(f"resampling {sr} Hz to {target_rate} Hz needs "
                          f"{taps} taps per sample, more than {MAX_TAPS}")
-    have = _physical_memory()
-    if have is not None and n_out * 8 > have:
-        raise ValueError(
-            f"resampling {n_in} samples from {sr} Hz to {target_rate} Hz "
-            f"gives {n_out * 8 / 2**30:.1f} GiB, more than the "
-            f"{have / 2**30:.1f} GiB of memory")
+    require_memory(n_out * 8, f"resampling {n_in} samples from {sr} Hz "
+                              f"to {target_rate} Hz")
     rows = max(1, RESAMPLE_BLOCK // taps)
     offsets = np.arange(taps)
     xpad = np.zeros(n_in + 2 * taps)   # x[k] is xpad[k + taps], 0 outside

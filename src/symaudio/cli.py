@@ -7,6 +7,7 @@ deterministic for a fixed config and seed, at any --jobs level.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib
 import io
@@ -18,12 +19,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .audio import (AudioDecodeError, AudioSignal, FeatureCube, bandpass,
-                    decode_wav, featurize_signal, resample, trim_nonspeech)
+from .audio import (AudioSignal, FeatureCube, bandpass, decode_wav,
+                    featurize_signal, resample, trim_nonspeech)
 from .config import (ConfigError, ExperimentConfig, learn_params_from,
                      load_config, normalize_mode, validate_config)
-from .cubefile import (CubeFileError, atomic_write, load_cube_file,
-                       write_cube_file)
+from .cubefile import atomic_write, load_cube_file, write_cube_file
 from .evaluation import (METRICS_COLUMNS, RULES_COLUMNS, balanced_holdout,
                          evaluate, extract_rules, metrics_rows, rule_metrics,
                          rules_rows)
@@ -124,8 +124,7 @@ def main(argv=None):
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (AudioDecodeError, CubeFileError, FileNotFoundError, OSError,
-            ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except Exception:
@@ -135,17 +134,12 @@ def main(argv=None):
 
 # --- shared output helpers --------------------------------------------------
 
-def _write_text(path, text):
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    atomic_write(path, text.encode("utf-8"))
-
-
 def _write_csv(path, header, rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write_text(path, buf.getvalue())
+    atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
 def _load_logiset(args, cfg):
@@ -213,7 +207,7 @@ def _prep_one(job):
         if cfg.bandpass_low is not None:
             sig = bandpass(sig, cfg.bandpass_low, cfg.bandpass_high)
         return ("ok", sig.samples)
-    except (AudioDecodeError, ValueError, OSError) as e:
+    except (OSError, ValueError) as e:
         return ("error", str(e))
 
 
@@ -264,15 +258,15 @@ def cmd_featurize(args, cfg):
     # One pool serves both passes.  It forks all its workers at once, so
     # it starts no more than there are files and CPUs.
     n_workers = min(args.jobs, len(rows), os.cpu_count() or 1)
-    if n_workers <= 1:
-        return _featurize_rows(rows, cfg, n_workers, None)
-    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+    pool = ProcessPoolExecutor(max_workers=n_workers) \
+        if n_workers > 1 else None
+    with pool or contextlib.nullcontext():
         return _featurize_rows(rows, cfg, n_workers, pool)
 
 
 def _featurize_rows(rows, cfg, n_workers, pool):
     n_total = len(rows)
-    status = {}   # listed path -> error message, for failed rows
+    outcome = {}   # listed path -> report text, for each row not plain ok
     prepped = _map_jobs(_prep_one, [(r[0], cfg) for r in rows], n_workers,
                         pool)
     alive = []
@@ -280,43 +274,40 @@ def _featurize_rows(rows, cfg, n_workers, pool):
         if kind == "ok":
             alive.append((listed, label, payload))
         else:
-            status[listed] = payload
+            outcome[listed] = f"error: {payload}"
 
-    report_path = os.path.join(cfg.out_dir, REPORT_NAME)
-    if not alive:
-        _write_report(report_path, rows, status, 0, n_total)
-        print(f"featurize: no usable audio among {n_total} files",
-              file=sys.stderr)
-        return 2
-
-    if cfg.clip_seconds is not None:
-        n_target = int(round(cfg.clip_seconds * cfg.resample_hz))
-    else:
-        n_target = min(len(s) for _, _, s in alive)
-    n_min = cfg.window_len + (cfg.n_points - 1) * cfg.hop
-    if n_target < n_min:
-        raise ValueError(
-            f"{n_target} samples per clip cannot fill {cfg.n_points} "
-            f"windows of {cfg.window_len} at hop {cfg.hop} "
-            f"(need at least {n_min})")
-
-    feats = _map_jobs(_feat_one, [(s, n_target, cfg) for _, _, s in alive],
-                      n_workers, pool)
-    notes = {}
     cubes, labels = [], []
-    for (listed, label, samples), (kind, payload) in zip(alive, feats):
-        if kind == "ok":
+    if alive:
+        if cfg.clip_seconds is not None:
+            n_target = int(round(cfg.clip_seconds * cfg.resample_hz))
+        else:
+            n_target = min(len(s) for _, _, s in alive)
+        n_min = cfg.window_len + (cfg.n_points - 1) * cfg.hop
+        if n_target < n_min:
+            raise ValueError(
+                f"{n_target} samples per clip cannot fill {cfg.n_points} "
+                f"windows of {cfg.window_len} at hop {cfg.hop} "
+                f"(need at least {n_min})")
+        feats = _map_jobs(_feat_one,
+                          [(s, n_target, cfg) for _, _, s in alive],
+                          n_workers, pool)
+        for (listed, label, samples), (kind, payload) in zip(alive, feats):
+            if kind != "ok":
+                outcome[listed] = f"error: {payload}"
+                continue
             names, values = payload
             cubes.append(values)
             labels.append(label)
             if len(samples) < n_target:
-                notes[listed] = (f"zero-padded {len(samples)} -> "
-                                 f"{n_target} samples")
-        else:
-            status[listed] = payload
+                outcome[listed] = (f"ok (zero-padded {len(samples)} -> "
+                                   f"{n_target} samples)")
 
     n_ok = len(cubes)
-    _write_report(report_path, rows, status, n_ok, n_total, notes)
+    report = [f"{listed}\t{outcome.get(listed, 'ok')}"
+              for _, listed, _ in rows]
+    report.append(f"processed {n_ok}/{n_total}")
+    atomic_write(os.path.join(cfg.out_dir, REPORT_NAME),
+                 ("\n".join(report) + "\n").encode("utf-8"))
     if not cubes:
         print(f"featurize: no usable audio among {n_total} files",
               file=sys.stderr)
@@ -336,20 +327,6 @@ def _featurize_rows(rows, cfg, n_workers, pool):
     return 0
 
 
-def _write_report(path, rows, status, n_ok, n_total, notes=None):
-    notes = notes or {}
-    lines = []
-    for _, listed, _ in rows:
-        if listed in status:
-            lines.append(f"{listed}\terror: {status[listed]}")
-        elif listed in notes:
-            lines.append(f"{listed}\tok ({notes[listed]})")
-        else:
-            lines.append(f"{listed}\tok")
-    lines.append(f"processed {n_ok}/{n_total}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 # --- model commands ---------------------------------------------------------
 
 def cmd_train(args, cfg):
@@ -361,7 +338,6 @@ def cmd_train(args, cfg):
     else:
         model = learn_forest(ls, params)
     out = os.path.join(cfg.out_dir, MODEL_NAME)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     save_model(model, out)
     print(f"trained {cfg.model} ({cfg.mode}) -> {out}")
     return 0

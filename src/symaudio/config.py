@@ -9,7 +9,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .audio import _physical_memory
+from .audio import require_memory
 from .logiset import FEATURE_FNS
 from .trees import DEFAULT_RELATIONS, LearnParams
 
@@ -148,11 +148,12 @@ def validate_config(cfg):
         if n_samples < 1:
             bad(f"clip_seconds={cfg.clip_seconds} at resample_hz="
                 f"{cfg.resample_hz} is not a usable sample count")
-        have = _physical_memory()
-        if have is not None and n_samples * 8 > have:
-            bad(f"clip_seconds={cfg.clip_seconds} at resample_hz="
-                f"{cfg.resample_hz} needs {n_samples * 8 / 2**30:.1f} GiB "
-                f"per clip, more than the {have / 2**30:.1f} GiB of memory")
+        try:
+            require_memory(n_samples * 8, f"one clip of clip_seconds="
+                           f"{cfg.clip_seconds} at resample_hz="
+                           f"{cfg.resample_hz}")
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
     if cfg.trim_frame_ms <= 0:
         bad("trim_frame_ms must be positive")
     if cfg.trim_threshold_db <= 0:

@@ -33,8 +33,10 @@ class CubeFile:
 
 def atomic_write(path, data):
     """Write data to path through a temporary file in the same directory,
-    so readers see either the old file or the complete new one."""
+    so readers see either the old file or the complete new one.  The
+    directory is made if it does not exist yet."""
     d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -65,6 +67,8 @@ def write_cube_file(path, attr_names, classes, values, labels):
         raise ValueError("label count does not match values")
     if len(set(attr_names)) != n:
         raise ValueError("attribute names must be unique")
+    if len(set(classes)) != len(classes):
+        raise ValueError("class names must be unique")
     for l in labels:
         if not 0 <= l < len(classes):
             raise ValueError(f"label id {l} outside the class vocabulary")
@@ -136,6 +140,8 @@ def load_cube_file(path):
         raise CubeFileError("cube file has trailing bytes")
     if len(set(attr_names)) != n:
         raise CubeFileError("attribute names are not unique")
+    if len(set(classes)) != n_classes:
+        raise CubeFileError("class names are not unique")
     if not np.all(np.isfinite(values)):
         raise CubeFileError("cube file holds non-finite values")
     return CubeFile(attr_names=attr_names, classes=classes, values=values,

@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .audio import require_memory
+
 Interval = tuple  # (x, y), ints
 
 # Canonical order, also the tie-break order used by the tree learner.
@@ -90,18 +92,23 @@ class Frame:
 
 @lru_cache(maxsize=None)
 def frame(mode, T):
-    """The frame of mode ('modal' or 'propositional') over T points."""
+    """The frame of mode ('modal' or 'propositional') over T points.  Its
+    matrices, filled in place, take len(RELATIONS) bytes for each pair of
+    intervals; the memory budget must allow that before the build."""
     if mode == "modal":
+        require_memory(len(RELATIONS) * (T * (T + 1) // 2) ** 2,
+                       f"the modal frame for n_points={T}")
         intervals = tuple(enumerate_intervals(T))
     elif mode == "propositional":
         intervals = ((0, T),)
     else:
         raise ValueError(
             f"mode must be propositional or modal, got {mode!r}")
+    n = len(intervals)
     R = {}
     for rel in RELATIONS:
-        matrix = np.array([[relates(rel, w, v) for v in intervals]
-                           for w in intervals], dtype=bool)
+        matrix = np.fromiter((relates(rel, w, v) for w in intervals
+                              for v in intervals), bool, n * n).reshape(n, n)
         matrix.setflags(write=False)
         R[rel] = matrix
     return Frame(intervals=intervals,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import FeatureCube, _physical_memory
+from .audio import FeatureCube, require_memory
 from .intervals import frame
 
 FEATURE_FNS = ("max", "min", "mean", "median", "std",
@@ -64,13 +64,8 @@ def _feature_table(values, intervals):
     memory a build needs beside the table.
     """
     m, n_attrs, T = values.shape
-    need = m * len(FEATURE_FNS) * n_attrs * len(intervals) * 8
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ValueError(
-            f"the feature table for {m} instances with n_points={T} needs "
-            f"{need / 2**30:.1f} GiB, more than the {have / 2**30:.1f} GiB "
-            f"of memory")
+    require_memory(m * len(FEATURE_FNS) * n_attrs * len(intervals) * 8,
+                   f"the feature table for {m} instances with n_points={T}")
     n_fns = len(FEATURE_FNS)
     table = np.empty((m, n_fns, n_attrs, len(intervals)))
     if table.size == 0:
@@ -285,6 +280,8 @@ def build_logiset(cubes, labels, mode="modal", classes=None):
         classes = tuple(sorted(set(labels)))
     else:
         classes = tuple(classes)
+        if len(set(classes)) != len(classes):
+            raise ValueError(f"class names {classes!r} are not unique")
     class_id = {c: i for i, c in enumerate(classes)}
     for lab in labels:
         if lab not in class_id:

@@ -525,6 +525,9 @@ def _model_from_dict(doc):
                   doc["attr_names"], doc["trees"], doc["attr_subsets"]):
         if not isinstance(value, list):
             raise ValueError(f"model document holds {value!r}, not a list")
+    for names in (doc["classes"], doc["attr_names"]):
+        if len(set(names)) != len(names):
+            raise ValueError(f"model document repeats a name in {names!r}")
     params = LearnParams(mode=p["mode"], min_gain=p["min_gain"],
                          max_leaf_entropy=p["max_leaf_entropy"],
                          relations=tuple(p["relations"]),

@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from symaudio import cli, logiset
+from symaudio import audio, cli
 from symaudio.audio import decode_wav
 from symaudio.cubefile import load_cube_file, write_cube_file
-from symaudio.trees import load_model, predict_model
+from symaudio.trees import load_model, predict_model, save_model
 from symaudio.logiset import FeatureCube
 
 SR = 8000
@@ -138,6 +138,95 @@ def test_featurize_zero_pads_short_clip(tmp_path):
     assert report[0] == "lo_0.wav\tok (zero-padded 1600 -> 2400 samples)"
     cf = load_cube_file(str(out / "features.cube"))
     assert cf.values.shape[0] == 12
+
+
+def test_featurize_report_lines_are_pinned(tmp_path, capsys):
+    # one outcome per manifest row, in manifest order: ok, a missing file,
+    # a zero-padded clip
+    wavs = tmp_path / "wavs"
+    manifest = _make_corpus(wavs, n_per_class=2)
+    _tone_wav(wavs / "lo_1.wav", 400, seconds=0.2)
+    lines = manifest.read_text().splitlines()
+    lines.insert(2, "ghost.wav,lo")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "exp.cfg", out)
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg)])
+    # 1 of 5 rows failed, more than 10%: outputs land, the exit says so
+    assert rc == 2
+    assert "featurize: 1 of 5 files failed" in capsys.readouterr().err
+    missing = str(wavs / "ghost.wav")
+    assert (out / "features.report.txt").read_text() == (
+        "lo_0.wav\tok\n"
+        f"ghost.wav\terror: [Errno 2] No such file or directory: "
+        f"{missing!r}\n"
+        "lo_1.wav\tok (zero-padded 1600 -> 2400 samples)\n"
+        "hi_0.wav\tok\n"
+        "hi_1.wav\tok\n"
+        "processed 4/5\n")
+    assert load_cube_file(str(out / "features.cube")).values.shape[0] == 4
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_featurize_every_row_failing_the_second_pass(tmp_path, capsys, jobs):
+    # 3000 Mel filters over 129 FFT bins collide after rounding: every clip
+    # decodes, then every featurization fails
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "exp.cfg", out, ["n_mel=3000"])
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                   "--jobs", jobs])
+    assert rc == 2
+    assert "featurize: no usable audio among 4 files" in \
+        capsys.readouterr().err
+    error = "error: Mel centers collide after rounding to integer Hz"
+    assert (out / "features.report.txt").read_text().splitlines() == [
+        f"{name}.wav\t{error}" for name in ("lo_0", "lo_1", "hi_0", "hi_1")
+    ] + ["processed 0/4"]
+    assert not (out / "features.cube").exists()
+
+
+def test_featurize_clip_too_short_for_the_windows_writes_nothing(tmp_path,
+                                                                  capsys):
+    # 80 samples cannot fill 5 windows of 256 at hop 128 (768 samples)
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"out_dir={out}\nclip_seconds=0.01\n", encoding="utf-8")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "data error: 80 samples per clip" in err and "768" in err
+    assert not out.exists()
+
+
+def test_commands_write_into_a_directory_not_made_yet(workspace, tmp_path):
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
+    out = tmp_path / "new" / "deeper"
+    cfg = _write_config(tmp_path / "exp.cfg", out)
+    assert cli.main(["featurize", str(manifest), "--config", str(cfg)]) == 0
+    assert load_cube_file(str(out / "features.cube")).values.shape[0] == 4
+    assert (out / "features.report.txt").read_text().endswith(
+        "processed 4/4\n")
+    trained = tmp_path / "trained" / "here"
+    cube = workspace["out"] / "features.cube"
+    assert cli.main(["train", str(cube), "--config", str(workspace["cfg"]),
+                     "--out", str(trained)]) == 0
+    assert load_model(str(trained / "model.json")).kind == "tree"
+
+
+def test_writers_make_their_own_directory(workspace, tmp_path):
+    cube = tmp_path / "cubes" / "a.cube"
+    write_cube_file(str(cube), ("a",), ("x", "y"), np.zeros((2, 1, 3)),
+                    [0, 1])
+    assert load_cube_file(str(cube)).labels == [0, 1]
+    assert cli.main(["train", str(workspace["out"] / "features.cube"),
+                     "--config", str(workspace["cfg"]),
+                     "--out", str(tmp_path)]) == 0
+    model = load_model(str(tmp_path / "model.json"))
+    path = tmp_path / "models" / "model.json"
+    save_model(model, str(path))
+    assert load_model(str(path)) == model
 
 
 def _limited_address_space():
@@ -501,11 +590,43 @@ def test_oversized_table_is_data_error(tmp_path, monkeypatch, capsys):
     cube = tmp_path / "small.cube"
     write_cube_file(str(cube), ("a", "b"), ("lo", "hi"),
                     np.arange(32.0).reshape(4, 2, 4), [0, 1, 0, 1])
-    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
-    monkeypatch.setattr(logiset, "_physical_memory", lambda: 1024)
+    # no clip_seconds: one 0.3 s clip alone would exceed the budget
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"out_dir={tmp_path / 'out'}\n", encoding="utf-8")
+    monkeypatch.setattr(audio, "_physical_memory", lambda: 1024)
     assert cli.main(["evaluate", str(cube), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "data error:" in err and "n_points=4" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_long_series_cube_is_data_error(tmp_path, capsys):
+    # 500,500 modal intervals: 8 relation matrices of 500,500^2 bytes are
+    # refused before the first is built
+    cube = tmp_path / "long.cube"
+    write_cube_file(str(cube), ("a",), ("lo", "hi"),
+                    np.zeros((10, 1, 1000)), [0, 1] * 5)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["train", str(cube), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data error: the modal frame for n_points=1000 needs" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_class_cube_is_data_error(tmp_path, capsys):
+    # a valid checksum over the class vocabulary ("x", "y", "x"); its labels
+    # 0 and 2 would name one class by two ids
+    body = b"MTSD1" + struct.pack("<III", 4, 1, 3)
+    body += struct.pack("<I", 1) + b"a" + struct.pack("<I", 3)
+    body += b"".join(struct.pack("<I", 1) + c for c in (b"x", b"y", b"x"))
+    for i in range(4):
+        body += struct.pack("<I", 2 * (i % 2)) + struct.pack("<3d", i, 1, 2)
+    bad = tmp_path / "twice.cube"
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    assert cli.main(["train", str(bad), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "data error:" in err and "class names are not unique" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symaudio import config
+from symaudio import audio
 from symaudio.config import (MAX_RESAMPLE_HZ, ConfigError, ExperimentConfig,
                              learn_params_from, load_config, parse_config,
                              serialize_config)
@@ -142,6 +142,24 @@ def test_cube_writer_validation(tmp_path):
                         np.full((2, 3, 4), np.nan), [0, 0])
     with pytest.raises(ValueError):
         write_cube_file(path, ("a",), ("c0",), np.zeros((2, 2)), [0, 0])
+    with pytest.raises(ValueError, match="class names must be unique"):
+        write_cube_file(path, ("a", "b", "c"), ("x", "y", "x"), values,
+                        [0, 2])
+    assert not path.exists()
+
+
+def test_cube_with_a_class_named_twice_is_rejected(tmp_path):
+    # ("x", "y", "x") crafted into a file with a valid checksum
+    path = tmp_path / "x.cube"
+    write_cube_file(path, ("a",), ("x", "y", "z"), np.zeros((2, 1, 3)),
+                    [0, 2])
+    body = path.read_bytes()[:-4]
+    z = struct.pack("<I", 1) + b"z"
+    assert body.count(z) == 1
+    body = body.replace(z, struct.pack("<I", 1) + b"x")
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CubeFileError, match="class names are not unique"):
+        load_cube_file(path)
 
 
 # --- config ------------------------------------------------------------------
@@ -244,11 +262,12 @@ def test_rate_and_clip_bounds(monkeypatch):
     assert MAX_RESAMPLE_HZ == 384_000
     assert parse_config("resample_hz=384000").resample_hz == 384_000
     # one 10 s clip at 8 kHz is 640,000 bytes
-    monkeypatch.setattr(config, "_physical_memory", lambda: 640_000)
+    monkeypatch.setattr(audio, "_physical_memory", lambda: 640_000)
     assert parse_config("clip_seconds=10").clip_seconds == 10.0
-    with pytest.raises(ConfigError, match="GiB per clip"):
+    with pytest.raises(ConfigError, match="one clip of clip_seconds=10.0001 "
+                       "at resample_hz=8000 needs 0.0 GiB"):
         parse_config("clip_seconds=10.0001")
-    monkeypatch.setattr(config, "_physical_memory", lambda: None)
+    monkeypatch.setattr(audio, "_physical_memory", lambda: None)
     assert parse_config("clip_seconds=1e7").clip_seconds == 1e7
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from symaudio import audio, intervals
 from symaudio.audio import FeatureCube
 from symaudio.intervals import (And, Box, Diamond, Not, Or, RELATIONS, check,
                                 enumerate_intervals, format_formula, frame,
@@ -107,6 +108,19 @@ def test_accessible_matches_oracle():
             for rel in RELATIONS:
                 assert list(_successors(rel, w, T)) == \
                     oracles.o_accessible(rel, w, T)
+
+
+def test_frame_asks_the_memory_budget_before_building(monkeypatch):
+    # T=17: 153 intervals, 8 relation matrices of 153^2 bytes; the cached
+    # frame() would not build it again, so the guard runs uncached
+    build = intervals.frame.__wrapped__
+    need = len(RELATIONS) * 153 * 153
+    monkeypatch.setattr(audio, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match="modal frame for n_points=17"):
+        build("modal", 17)
+    assert build("propositional", 17).intervals == ((0, 17),)
+    monkeypatch.setattr(audio, "_physical_memory", lambda: need)
+    assert sum(m.nbytes for m in build("modal", 17).R.values()) == need
 
 
 def _instance(series_by_attr, names=None):

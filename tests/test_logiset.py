@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 import scalar_features
-from symaudio import logiset
+from symaudio import audio, logiset
 from symaudio.audio import FeatureCube
 from symaudio.intervals import check, enumerate_intervals
 from symaudio.logiset import (Atom, FEATURE_FNS, FN_INDEX, build_logiset,
@@ -223,15 +223,15 @@ def test_table_size_guard(monkeypatch):
     # 4 instances x 9 functions x 3 attributes x 15 intervals x 8 bytes
     need = 4 * 9 * 3 * 15 * 8
     cubes = [_cube(np.zeros((3, 5))) for _ in range(4)]
-    monkeypatch.setattr(logiset, "_physical_memory", lambda: need - 1)
+    monkeypatch.setattr(audio, "_physical_memory", lambda: need - 1)
     with pytest.raises(ValueError, match=r"4 instances with n_points=5"):
         build_logiset(cubes, [0, 1, 0, 1])
-    monkeypatch.setattr(logiset, "_physical_memory", lambda: need // 4 - 1)
+    monkeypatch.setattr(audio, "_physical_memory", lambda: need // 4 - 1)
     with pytest.raises(ValueError, match=r"1 instances with n_points=5"):
         instance_from_cube(cubes[0], "modal")
-    monkeypatch.setattr(logiset, "_physical_memory", lambda: need)
+    monkeypatch.setattr(audio, "_physical_memory", lambda: need)
     assert build_logiset(cubes, [0, 1, 0, 1]).table.nbytes == need
-    monkeypatch.setattr(logiset, "_physical_memory", lambda: None)
+    monkeypatch.setattr(audio, "_physical_memory", lambda: None)
     assert build_logiset(cubes, [0, 1, 0, 1]).table.nbytes == need
 
 
@@ -356,6 +356,9 @@ def test_build_logiset_explicit_classes():
     assert [inst.label for inst in ls.instances] == [1, 0]
     with pytest.raises(ValueError):
         build_logiset(cubes, ["dog", "mouse"], classes=("cat", "dog"))
+    # a class named twice would map one label to two ids
+    with pytest.raises(ValueError, match="not unique"):
+        build_logiset(cubes, ["dog", "cat"], classes=("cat", "dog", "cat"))
 
 
 def test_build_logiset_errors():

@@ -641,6 +641,32 @@ def _leaf_edit(key, value):
     return mutate
 
 
+def _repeat_first_name(names, rename):
+    """A mutation that repeats the first of doc[names] in place of every
+    other and has each node name it through rename(node, name), so that
+    the repeat is all that is wrong."""
+    def mutate(doc):
+        first = doc[names][0]
+        doc[names] = [first] * len(doc[names])
+        stack = list(doc["trees"])
+        while stack:
+            node = stack.pop()
+            rename(node, first)
+            stack.extend(node[k] for k in ("left", "right") if k in node)
+        return doc
+    return mutate
+
+
+def _rename_leaf(node, name):
+    if "leaf" in node:
+        node["leaf"] = name
+
+
+def _rename_decision(node, name):
+    if "decision" in node:
+        node["decision"]["attr_name"] = name
+
+
 def _two_trees(doc):
     doc["trees"].append(doc["trees"][0])
     return doc
@@ -693,6 +719,9 @@ MALFORMED_MODELS = {
     "forest subset of names": _forest([["x"]]),
     "forest subset repeats an attribute": _forest([[0, 0]]),
     "forest subset not a list": _forest([1]),
+    "classes repeat a name": _repeat_first_name("classes", _rename_leaf),
+    "attr_names repeat a name": _repeat_first_name("attr_names",
+                                                   _rename_decision),
 }
 
 
