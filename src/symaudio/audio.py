@@ -11,7 +11,9 @@ from __future__ import annotations
 import io
 import math
 import os
+import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -159,6 +161,8 @@ KAISER_BETA = 8.0
 RESAMPLE_BLOCK = 2 ** 15   # kernel entries per block of output samples
 KERNEL_CACHE = 2 ** 18     # kernel entries kept for reuse across blocks
 MAX_TAPS = 2 ** 20         # taps per output sample: a 1:16384 rate ratio
+I0_BETA = float(np.i0(KAISER_BETA))   # the Kaiser window's normaliser
+_kernel_rows = threading.local()   # .store: see _row_store
 
 
 def _i0(z, out, scratch):
@@ -197,7 +201,7 @@ def _kernel(t, half, cutoff, out, scratch, mask):
     np.sqrt(u, out=u)
     u *= KAISER_BETA
     win = _i0(u, out, rest)
-    win /= float(np.i0(KAISER_BETA))
+    win /= I0_BETA
     np.copyto(win, 0.0, where=mask)
     # np.sinc: sin(pi*x) / (pi*x), with eps standing in for x == 0
     t *= cutoff
@@ -211,15 +215,29 @@ def _kernel(t, half, cutoff, out, scratch, mask):
     return out
 
 
+def _row_store(sr, target_rate, n_table, taps):
+    """The kernel rows kept for one rate pair and table size: a dict from
+    row key to slot, and the (n_table, taps) table those slots index.
+    Each thread keeps one store; another pair or size starts an empty one."""
+    key = (sr, target_rate, n_table)
+    store = getattr(_kernel_rows, "store", None)
+    if store is None or store[0] != key:
+        _kernel_rows.store = None          # free the old table first
+        store = _kernel_rows.store = (key, {}, np.empty((n_table, taps)))
+    return store[1], store[2]
+
+
 def resample(sig, target_rate):
     """Windowed-sinc resampling (Kaiser beta=8), output length round(n*ratio).
 
     Output samples are computed in blocks of about RESAMPLE_BLOCK kernel
-    entries, and up to KERNEL_CACHE entries of kernel rows are kept for
-    reuse, so the working set stays a few MB at any rate ratio.  Each output
-    sample is the sum of its own row of tap products, each computed by the
-    IEEE operations of np.sinc and np.i0 in their order, so neither the
-    blocks nor the reuse change a bit of the result.
+    entries.  Up to KERNEL_CACHE entries of kernel rows are kept for reuse
+    across blocks and across calls at the same rate pair in one process
+    (per thread), so the working set stays a few MB at any rate ratio, and
+    clips at one rate pair after the first compute few rows or none.  Each
+    output sample is the sum of its own row of tap products, each computed
+    by the IEEE operations of np.sinc and np.i0 in their order, so neither
+    the blocks nor the reuse change a bit of the result.
     """
     if target_rate <= 0:
         raise ValueError("target rate must be positive")
@@ -244,62 +262,68 @@ def resample(sig, target_rate):
     offsets = np.arange(taps)
     xpad = np.zeros(n_in + 2 * taps)   # x[k] is xpad[k + taps], 0 outside
     xpad[taps:taps + n_in] = x
+    # the input taps of an output whose first tap is k: windows[k + taps]
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, taps)
     out = np.empty(n_out)
     # Tap k of output n sits at t = k - pos, pos = n / ratio, and k runs
     # from ceil(pos - half).  Both frac(pos) and ceil(pos - half) -
     # floor(pos) are exact, and the pair fixes every t of the row, so rows
     # with the same pair share one kernel row, bit for bit.
-    cache = {}
-    table = np.empty((max(rows, KERNEL_CACHE // taps), taps))
-    k_buf = np.empty((rows, taps), dtype=np.int64)
-    mask_buf = np.empty((rows, taps), dtype=bool)
-    bufs = np.empty((5, rows, taps))
+    cache, table = _row_store(sr, target_rate,
+                              max(rows, KERNEL_CACHE // taps), taps)
     for lo in range(0, n_out, rows):
         r = min(rows, n_out - lo)
-        k, mask = k_buf[:r], mask_buf[:r]
-        t, *scratch = bufs[:, :r]
         pos = np.arange(lo, lo + r) / ratio
         start = np.ceil(pos - half).astype(np.int64)
         whole = np.floor(pos)
-        if len(cache) + r > len(table):
-            cache.clear()
-        n_old = len(cache)
-        slots = np.empty(r, dtype=np.intp)
-        fresh = []
-        for i, key in enumerate(zip((pos - whole).tolist(),
-                                    (start - whole).tolist())):
-            slot = cache.get(key)
-            if slot is None:
-                slot = cache[key] = len(cache)
-                fresh.append(i)
-            slots[i] = slot
-        if fresh:
-            n_new = len(fresh)
-            np.add(start[fresh, None], offsets, out=k[:n_new])
-            np.subtract(k[:n_new], pos[fresh, None], out=t[:n_new])
-            _kernel(t[:n_new], half, cutoff, table[n_old:n_old + n_new],
-                    [a[:n_new] for a in scratch], mask[:n_new])
-        np.add(start[:, None], offsets + taps, out=k)
-        xv, kern = scratch[:2]
-        np.take(xpad, k, out=xv, mode="clip")
-        np.take(table, slots, axis=0, out=kern, mode="clip")
-        xv *= kern
+        keys = list(zip((pos - whole).tolist(), (start - whole).tolist()))
+        slots = list(map(cache.get, keys))
+        if None in slots:
+            if len(cache) + r > len(table):
+                cache.clear()
+            # the first position of each new key; keys join the cache only
+            # once their rows are in the table, so the store stays whole
+            # if the kernel fails
+            fresh = {}
+            for i, key in enumerate(keys):
+                if key not in cache:
+                    fresh.setdefault(key, i)
+            new = list(fresh.values())
+            n_old = len(cache)
+            t = (start[new, None] + offsets) - pos[new, None]
+            _kernel(t, half, cutoff, table[n_old:n_old + len(new)],
+                    np.empty((4,) + t.shape), np.empty(t.shape, dtype=bool))
+            cache.update(zip(fresh, range(n_old, n_old + len(new))))
+            slots = list(map(cache.get, keys))
+        xv = windows[start + taps]
+        xv *= table[slots]
         xv.sum(axis=1, out=out[lo:lo + r])
     return AudioSignal(out, int(target_rate))
 
 
+@lru_cache(maxsize=16)
+def _band_sos(sample_rate, low, high):
+    """The read-only second-order sections of bandpass's filter."""
+    from scipy.signal import butter
+    if high >= sample_rate / 2.0:
+        # upper edge at Nyquist degenerates to a high-pass
+        sos = butter(4, low, btype="highpass", fs=sample_rate, output="sos")
+    else:
+        sos = butter(4, [low, high], btype="bandpass", fs=sample_rate,
+                     output="sos")
+    sos.setflags(write=False)
+    return sos
+
+
 def bandpass(sig, low, high):
-    """Zero-phase 4th-order Butterworth band-pass between low and high Hz."""
-    from scipy.signal import butter, sosfiltfilt
+    """Zero-phase 4th-order Butterworth band-pass between low and high Hz.
+    The filter of each (rate, low, high) is designed once per process."""
+    from scipy.signal import sosfiltfilt
     nyq = sig.sample_rate / 2.0
     if not (0.0 < low < high <= nyq):
         raise ValueError(f"band edges must satisfy 0 < low < high <= {nyq}")
-    if high >= nyq:
-        # upper edge at Nyquist degenerates to a high-pass
-        sos = butter(4, low, btype="highpass", fs=sig.sample_rate, output="sos")
-    else:
-        sos = butter(4, [low, high], btype="bandpass", fs=sig.sample_rate,
-                     output="sos")
+    # scipy's filter kernel takes only writable sections: hand it a copy
+    sos = _band_sos(sig.sample_rate, low, high).copy()
     return AudioSignal(sosfiltfilt(sos, sig.samples), sig.sample_rate)
 
 

@@ -46,24 +46,26 @@ def relates(rel, w, v):
 
     L: v strictly later, AO: meets or properly overlaps on the right,
     DBE: v is a proper part of w (during, begins or ends), G: any interval.
-    *inv relations mirror their base relation.
+    *inv relations mirror their base relation.  The endpoints of w and v
+    may also be integer arrays that broadcast together; the answer is then
+    a boolean array of that shape (a scalar True for G).
     """
     wx, wy = w
     vx, vy = v
     if rel == "Id":
-        return v == w
+        return (vx == wx) & (vy == wy)
     if rel == "L":
         return wy < vx
     if rel == "Linv":
         return vy < wx
     if rel == "AO":
-        return wy == vx or (wx < vx < wy < vy)
+        return (wy == vx) | ((wx < vx) & (vx < wy) & (wy < vy))
     if rel == "AOinv":
-        return vy == wx or (vx < wx < vy < wy)
+        return (vy == wx) | ((vx < wx) & (wx < vy) & (vy < wy))
     if rel == "DBE":
-        return wx <= vx and vy <= wy and v != w
+        return (wx <= vx) & (vy <= wy) & ((vx != wx) | (vy != wy))
     if rel == "DBEinv":
-        return vx <= wx and wy <= vy and v != w
+        return (vx <= wx) & (wy <= vy) & ((vx != wx) | (vy != wy))
     if rel == "G":
         return True
     raise ValueError(f"unknown relation {rel!r}")
@@ -93,8 +95,9 @@ class Frame:
 @lru_cache(maxsize=None)
 def frame(mode, T):
     """The frame of mode ('modal' or 'propositional') over T points.  Its
-    matrices, filled in place, take len(RELATIONS) bytes for each pair of
-    intervals; the memory budget must allow that before the build."""
+    matrices take len(RELATIONS) bytes for each pair of intervals, and are
+    filled a block of rows at a time from the interval endpoints; the
+    memory budget must allow them before the build."""
     if mode == "modal":
         require_memory(len(RELATIONS) * (T * (T + 1) // 2) ** 2,
                        f"the modal frame for n_points={T}")
@@ -105,10 +108,14 @@ def frame(mode, T):
         raise ValueError(
             f"mode must be propositional or modal, got {mode!r}")
     n = len(intervals)
+    x, y = np.array(intervals).T
+    step = max(1, 2 ** 20 // n)   # rows per block: temporaries of <= 1 MB
     R = {}
     for rel in RELATIONS:
-        matrix = np.fromiter((relates(rel, w, v) for w in intervals
-                              for v in intervals), bool, n * n).reshape(n, n)
+        matrix = np.empty((n, n), dtype=bool)
+        for lo in range(0, n, step):
+            w = (x[lo:lo + step, None], y[lo:lo + step, None])
+            matrix[lo:lo + step] = relates(rel, w, (x, y))
         matrix.setflags(write=False)
         R[rel] = matrix
     return Frame(intervals=intervals,

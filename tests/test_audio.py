@@ -1,10 +1,13 @@
 """WAV decoding, DSP front end, and feature cube assembly."""
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
+from scipy.signal import butter, sosfiltfilt
 
 import reference_resample
 from symaudio import audio
@@ -127,6 +130,57 @@ def test_resample_bitwise_equals_reference(sr, target, monkeypatch):
         monkeypatch.undo()
 
 
+def test_resample_rows_reused_across_rate_pairs_stay_bitwise():
+    # the kept rows follow the rate pair: a call at another pair replaces
+    # them, and coming back builds them again
+    rng = np.random.default_rng(7)
+    for sr, target in ((44100, 8000), (48000, 16000), (44100, 8000)):
+        for n in (40, 3001, 22050):
+            sig = AudioSignal(rng.standard_normal(n), sr)
+            got = resample(sig, target).samples
+            want = reference_resample.resample(sig, target).samples
+            assert got.view(np.uint64).tolist() == \
+                want.view(np.uint64).tolist()
+
+
+def test_resample_second_call_computes_no_rows(monkeypatch):
+    rows = []
+
+    def counting(t, *args):
+        rows.append(len(t))
+        return kernel(t, *args)
+
+    kernel = audio._kernel
+    monkeypatch.setattr(audio, "_kernel", counting)
+    sig = AudioSignal(np.random.default_rng(8).standard_normal(22050), 44100)
+    resample(AudioSignal(np.ones(500), 22050), 8000)   # another pair first
+    first = resample(sig, 8000).samples
+    assert 0 < sum(rows) < len(first)
+    rows.clear()
+    again = resample(sig, 8000).samples
+    assert rows == []
+    assert again.view(np.uint64).tolist() == first.view(np.uint64).tolist()
+
+
+def test_resample_threads_keep_their_own_rows():
+    # each thread keeps its own rows, so threads that switch rate pairs
+    # under one another still match the serial results
+    rng = np.random.default_rng(10)
+    jobs = [(AudioSignal(rng.standard_normal(n), sr), target)
+            for n in (3001, 22050) for sr, target in ((44100, 8000),
+                                                      (48000, 16000))] * 4
+    want = [resample(sig, target).samples.tobytes() for sig, target in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = [f.result(timeout=60).samples.tobytes() for f in
+                   [pool.submit(resample, *job) for job in jobs]]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
 def test_window_recurrence_equals_np_i0():
     z = np.concatenate([np.linspace(0.0, 8.0, 200_001),
                         np.nextafter([0.0, 8.0], [1.0, 0.0])])
@@ -191,6 +245,19 @@ def test_bandpass_upper_edge_at_nyquist_becomes_highpass():
     assert rms(bandpass(low, 300.0, 4000.0).samples) < 0.1 * rms(low.samples)
     ratio = rms(bandpass(mid, 300.0, 4000.0).samples) / rms(mid.samples)
     assert abs(ratio - 1.0) < 0.1
+
+
+def test_bandpass_equals_uncached_design():
+    sig = AudioSignal(np.random.default_rng(9).standard_normal(4000), SR)
+    for low, high, design in (
+            (100.0, 3000.0, dict(N=4, Wn=[100.0, 3000.0], btype="bandpass")),
+            (300.0, 4000.0, dict(N=4, Wn=300.0, btype="highpass"))):
+        want = sosfiltfilt(butter(**design, fs=SR, output="sos"), sig.samples)
+        for _ in range(2):   # the second call uses the kept design
+            got = bandpass(sig, low, high).samples
+            assert got.view(np.uint64).tolist() == \
+                want.view(np.uint64).tolist()
+    assert not audio._band_sos(SR, 100.0, 3000.0).flags.writeable
 
 
 def test_bandpass_bad_edges():

@@ -110,6 +110,20 @@ def test_accessible_matches_oracle():
                     oracles.o_accessible(rel, w, T)
 
 
+def test_frame_matrices_equal_a_relates_loop():
+    # the matrices are filled from endpoint arrays; relates on each pair of
+    # intervals is the definition they must match
+    build = intervals.frame.__wrapped__
+    cases = [("modal", T) for T in range(1, 21)] + [("propositional", 7)]
+    for mode, T in cases:
+        f = build(mode, T)
+        for rel in RELATIONS:
+            want = [[relates(rel, w, v) for v in f.intervals]
+                    for w in f.intervals]
+            assert f.R[rel].dtype == bool and not f.R[rel].flags.writeable
+            assert f.R[rel].tolist() == want, (mode, T, rel)
+
+
 def test_frame_asks_the_memory_budget_before_building(monkeypatch):
     # T=17: 153 intervals, 8 relation matrices of 153^2 bytes; the cached
     # frame() would not build it again, so the guard runs uncached
