@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 
 from .audio import require_memory
-from .logiset import FEATURE_FNS
-from .trees import DEFAULT_RELATIONS, LearnParams
+from .trees import LearnParams
 
 
 class ConfigError(ValueError):
@@ -25,6 +25,8 @@ MAX_RESAMPLE_HZ = 384_000
 
 @dataclass
 class ExperimentConfig:
+    # a field named like one of LearnParams takes its default from there,
+    # and learn_params_from passes it on
     manifest: str = ""
     task: str = ""
     out_dir: str = "out"
@@ -41,27 +43,22 @@ class ExperimentConfig:
     n_mfcc: int = 13
     n_points: int = 5
     overlap: float = 0.2
-    mode: str = "modal"
+    mode: str = LearnParams.mode
     model: str = "tree"
-    min_gain: float = 0.01
-    max_leaf_entropy: float = 0.6
-    relations: tuple = DEFAULT_RELATIONS
-    n_trees: int = 100
-    instance_frac: float = 0.7
-    attr_frac: float = 0.5
+    min_gain: float = LearnParams.min_gain
+    max_leaf_entropy: float = LearnParams.max_leaf_entropy
+    relations: tuple = LearnParams.relations
+    n_trees: int = LearnParams.n_trees
+    instance_frac: float = LearnParams.instance_frac
+    attr_frac: float = LearnParams.attr_frac
     train_frac: float = 0.8
     repeats: int = 10
     rules_trees: int = 3
-    seed: int = 0
+    seed: int = LearnParams.seed
 
 
-_STR_KEYS = {"manifest", "task", "out_dir"}
-_INT_KEYS = {"resample_hz", "window_len", "hop", "n_mel", "n_mfcc",
-             "n_points", "n_trees", "repeats", "rules_trees", "seed"}
-_FLOAT_KEYS = {"trim_frame_ms", "trim_threshold_db", "overlap", "min_gain",
-               "max_leaf_entropy", "instance_frac", "attr_frac", "train_frac"}
-_OPT_FLOAT_KEYS = {"bandpass_low", "bandpass_high", "clip_seconds"}
-_BOOL_KEYS = {"trim"}
+# each key is read as the type its field is annotated with
+_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
 
 _MODE_ALIASES = {"prop": "propositional", "propositional": "propositional",
                  "modal": "modal"}
@@ -76,32 +73,6 @@ def normalize_mode(value):
 
 
 def _coerce(key, value):
-    if key in _STR_KEYS:
-        return value
-    if key in _INT_KEYS:
-        try:
-            return int(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {value!r}") \
-                from None
-    if key in _FLOAT_KEYS or key in _OPT_FLOAT_KEYS:
-        if key in _OPT_FLOAT_KEYS and value.lower() in ("", "none"):
-            return None
-        try:
-            number = float(value)
-        except ValueError:
-            number = math.nan
-        if not math.isfinite(number):
-            raise ConfigError(f"{key} must be a finite number"
-                              f"{' or none' if key in _OPT_FLOAT_KEYS else ''}"
-                              f", got {value!r}")
-        return number
-    if key in _BOOL_KEYS:
-        if value.lower() == "true":
-            return True
-        if value.lower() == "false":
-            return False
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
     if key == "mode":
         return normalize_mode(value)
     if key == "model":
@@ -113,7 +84,33 @@ def _coerce(key, value):
         if not names:
             raise ConfigError("relations cannot be empty")
         return names
-    raise ConfigError(f"unknown config key {key!r}")
+    kind = _KEY_TYPES[key]
+    if kind is str:
+        return value
+    if kind is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {value!r}") \
+                from None
+    if kind is bool:
+        if value.lower() == "true":
+            return True
+        if value.lower() == "false":
+            return False
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    # float, or float | None
+    optional = kind == float | None
+    if optional and value.lower() in ("", "none"):
+        return None
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number"
+                          f"{' or none' if optional else ''}, got {value!r}")
+    return number
 
 
 def validate_config(cfg):
@@ -121,10 +118,10 @@ def validate_config(cfg):
         raise ConfigError(msg)
     if not 0 < cfg.resample_hz <= MAX_RESAMPLE_HZ:
         bad(f"resample_hz must lie in 1..{MAX_RESAMPLE_HZ}")
-    if cfg.window_len <= 0 or cfg.hop <= 0:
-        bad("window_len and hop must be positive")
-    if cfg.n_mel <= 0 or cfg.n_mfcc <= 0:
-        bad("n_mel and n_mfcc must be positive")
+    if cfg.window_len < 2 or cfg.hop <= 0:
+        bad("window_len must be at least 2 and hop positive")
+    if cfg.n_mel < 2 or cfg.n_mfcc <= 0:
+        bad("n_mel must be at least 2 and n_mfcc positive")
     if cfg.n_mfcc > cfg.n_mel:
         bad("n_mfcc cannot exceed n_mel")
     if cfg.n_points < 2:
@@ -140,6 +137,10 @@ def validate_config(cfg):
     if cfg.bandpass_low is not None:
         if not 0.0 < cfg.bandpass_low < cfg.bandpass_high:
             bad("bandpass edges must satisfy 0 < low < high")
+        # the band-pass filters the resampled signal
+        if cfg.bandpass_high > cfg.resample_hz / 2:
+            bad(f"bandpass_high cannot exceed resample_hz / 2 = "
+                f"{cfg.resample_hz / 2}")
     if cfg.clip_seconds is not None:
         try:
             n_samples = round(cfg.clip_seconds * cfg.resample_hz)
@@ -167,7 +168,6 @@ def validate_config(cfg):
 
 
 def parse_config(text):
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     seen = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -179,7 +179,7 @@ def parse_config(text):
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate config key {key!r}")
@@ -213,9 +213,7 @@ def serialize_config(cfg):
 
 
 def learn_params_from(cfg):
-    return LearnParams(mode=cfg.mode, min_gain=cfg.min_gain,
-                       max_leaf_entropy=cfg.max_leaf_entropy,
-                       relations=tuple(cfg.relations),
-                       functions=FEATURE_FNS, n_trees=cfg.n_trees,
-                       instance_frac=cfg.instance_frac,
-                       attr_frac=cfg.attr_frac, seed=cfg.seed)
+    """The config's learner settings, LearnParams's defaults for the rest."""
+    return LearnParams(**{f.name: getattr(cfg, f.name)
+                          for f in dataclasses.fields(LearnParams)
+                          if f.name in _KEY_TYPES})

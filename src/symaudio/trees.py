@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral
 
 import numpy as np
@@ -490,13 +490,7 @@ def model_to_dict(model):
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind,
-        "params": {
-            "mode": p.mode, "min_gain": p.min_gain,
-            "max_leaf_entropy": p.max_leaf_entropy,
-            "relations": list(p.relations), "functions": list(p.functions),
-            "n_trees": p.n_trees, "instance_frac": p.instance_frac,
-            "attr_frac": p.attr_frac, "seed": list(_seed_tuple(p.seed)),
-        },
+        "params": {**asdict(p), "seed": list(_seed_tuple(p.seed))},
         "classes": list(model.classes),
         "attr_names": list(model.attr_names),
         "trees": [_node_to_dict(t, model.classes, model.attr_names)
@@ -516,10 +510,16 @@ def model_from_dict(doc):
         raise ValueError("model document nests too deeply") from None
 
 
+_PARAM_KEYS = {f.name for f in fields(LearnParams)}
+
+
 def _model_from_dict(doc):
     if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ValueError("unsupported model schema version")
     p = doc["params"]
+    if set(p) != _PARAM_KEYS:
+        raise ValueError(f"model params hold {sorted(p)!r}, not "
+                         f"{sorted(_PARAM_KEYS)!r}")
     seed = p["seed"]
     for value in (seed, p["relations"], p["functions"], doc["classes"],
                   doc["attr_names"], doc["trees"], doc["attr_subsets"]):
@@ -528,14 +528,10 @@ def _model_from_dict(doc):
     for names in (doc["classes"], doc["attr_names"]):
         if len(set(names)) != len(names):
             raise ValueError(f"model document repeats a name in {names!r}")
-    params = LearnParams(mode=p["mode"], min_gain=p["min_gain"],
-                         max_leaf_entropy=p["max_leaf_entropy"],
-                         relations=tuple(p["relations"]),
-                         functions=tuple(p["functions"]),
-                         n_trees=p["n_trees"],
-                         instance_frac=p["instance_frac"],
-                         attr_frac=p["attr_frac"],
-                         seed=seed[0] if len(seed) == 1 else tuple(seed))
+    params = LearnParams(**{
+        **p, "relations": tuple(p["relations"]),
+        "functions": tuple(p["functions"]),
+        "seed": seed[0] if len(seed) == 1 else tuple(seed)})
     if doc["kind"] not in ("tree", "forest") or not doc["trees"] or \
             (doc["kind"] == "tree" and len(doc["trees"]) != 1):
         raise ValueError(f"a {doc['kind']!r} model cannot hold "

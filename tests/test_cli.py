@@ -550,6 +550,24 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("lines, error", [
+    # stft needs two samples a window, the Mel filterbank two filters
+    (["window_len=1"], "window_len must be at least 2"),
+    (["n_mel=1", "n_mfcc=1"], "n_mel must be at least 2"),
+    # the band-pass runs after resampling, so 8 kHz caps it at 4 kHz
+    (["bandpass_low=100", "bandpass_high=4001"],
+     "bandpass_high cannot exceed resample_hz / 2 = 4000.0")])
+def test_config_every_clip_would_fail_is_config_error(tmp_path, capsys,
+                                                      lines, error):
+    manifest = _make_corpus(tmp_path / "wav", n_per_class=2)
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "exp.cfg", out, lines)
+    rc = cli.main(["featurize", "--config", str(cfg), str(manifest)])
+    assert rc == 1
+    assert f"config error: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", [
     "relations=L,Q", "min_gain=-1", "attr_frac=1.5"])
 def test_bad_learner_setting_is_config_error(workspace, capsys, line):
@@ -669,6 +687,24 @@ def test_benchmark_trace_hooks_resolve():
                if not callable(getattr(importlib.import_module(mod), attr,
                                        None))]
     assert missing == []
+
+
+def test_readme_demo_script_runs(tmp_path):
+    # the README's quick demo, on a smaller corpus
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "run_demo_experiment.py")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, script, "--workdir", str(tmp_path / "demo"),
+         "--n-per-class", "6"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    table = proc.stdout.split("\nmetrics:\n")[1].split("\n\nrules:")[0]
+    rows = [line.split() for line in table.splitlines()]
+    assert rows[0] == ["task", "mode", "model", "repeat", "kappa",
+                       "accuracy", "leaves"]
+    assert [row[3] for row in rows[1:]] == \
+        ["0", "1", "2", "3", "4", "mean", "std"]
 
 
 def test_module_entry_point():

@@ -16,7 +16,7 @@ from symaudio.config import (MAX_RESAMPLE_HZ, ConfigError, ExperimentConfig,
                              learn_params_from, load_config, parse_config,
                              serialize_config)
 from symaudio.cubefile import (CubeFileError, load_cube_file, write_cube_file)
-from symaudio.trees import DEFAULT_RELATIONS
+from symaudio.trees import DEFAULT_RELATIONS, LearnParams
 
 
 def _sample_cube(rng):
@@ -300,6 +300,14 @@ def test_learn_params_from_config():
     assert params.seed == 3
     assert params.relations == ("L", "G")
     assert params.attr_frac == 0.25
+
+
+def test_config_and_learner_settings_stay_in_step():
+    # learn_params_from maps the learner settings onto LearnParams by name
+    assert learn_params_from(ExperimentConfig()) == LearnParams()
+    config_keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    learner_keys = {f.name for f in dataclasses.fields(LearnParams)}
+    assert learner_keys - config_keys == {"functions"}
 
 
 _CONFIG_KEYS = sorted(f.name for f in dataclasses.fields(ExperimentConfig))

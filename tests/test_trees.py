@@ -703,6 +703,7 @@ MALFORMED_MODELS = {
     "NaN min_gain": _edit(("params", "min_gain"), float("nan")),
     "zero n_trees": _edit(("params", "n_trees"), 0),
     "bad params mode": _edit(("params", "mode"), "sideways"),
+    "unknown params key": _edit(("params", "max_depth"), 3),
     "relation Q": _edit(ROOT + ("relation",), "Q"),
     "relation L at the modal root": _edit(ROOT + ("relation",), "L"),
     "function nope": _edit(ROOT + ("fn",), "nope"),
