@@ -14,8 +14,9 @@ import numpy as np
 
 from .intervals import And, Box, Diamond, check, format_formula
 from .logiset import Atom
+# predict_tree is not called here: perfbench/spans.py wraps it by this name
 from .trees import (Leaf, Model, Split, learn_forest, learn_tree,
-                    predict_forest, predict_tree)
+                    model_from_tree, predict_forest, predict_tree)
 
 _HOLDOUT_TAG = 11
 
@@ -48,14 +49,12 @@ def cohen_kappa(cm):
 
 
 def leaf_count(obj):
-    """Leaves of a tree node, or the mean over a forest's trees."""
+    """Leaves of a tree node, or the mean over a model's trees."""
     if isinstance(obj, Leaf):
         return 1
     if isinstance(obj, Split):
         return leaf_count(obj.left) + leaf_count(obj.right)
     if isinstance(obj, Model):
-        if obj.kind == "tree":
-            return leaf_count(obj.tree)
         return sum(leaf_count(t) for t in obj.trees) / len(obj.trees)
     raise TypeError(f"cannot count leaves of {type(obj).__name__}")
 
@@ -142,16 +141,13 @@ def evaluate(ls, params, model="tree", train_frac=0.8, repeats=10, seed=0):
     k = len(ls.classes)
     for rep, (train, test) in enumerate(splits):
         if model == "tree":
-            tree = learn_tree(ls, params, indices=train)
-            preds = [predict_tree(tree, ls.instances[i], params.mode)
-                     for i in test]
-            leaves.append(leaf_count(tree))
+            fitted = model_from_tree(learn_tree(ls, params, indices=train),
+                                     params, ls.classes, ls.attr_names)
         else:
-            rep_params = replace(params, seed=(seed, rep))
-            forest = learn_forest(ls, rep_params, indices=train)
-            preds = [predict_forest(forest, ls.instances[i], params.mode, k)
-                     for i in test]
-            leaves.append(leaf_count(forest))
+            fitted = learn_forest(ls, replace(params, seed=(seed, rep)),
+                                  indices=train)
+        preds = [predict_forest(fitted, ls.instances[i]) for i in test]
+        leaves.append(leaf_count(fitted))
         cm = confusion_matrix([labels[i] for i in test], preds, k)
         kappas.append(cohen_kappa(cm))
         accs.append(accuracy(cm))

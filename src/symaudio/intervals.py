@@ -206,11 +206,11 @@ def format_formula(phi, attr_names):
     if isinstance(phi, And):
         if not phi.parts:
             return "true"
-        return " & ".join(_wrap_binary(p, attr_names, Or) for p in phi.parts)
+        return " & ".join(_wrap_binary(p, attr_names) for p in phi.parts)
     if isinstance(phi, Or):
         if not phi.parts:
             return "!(true)"
-        return " | ".join(_wrap_binary(p, attr_names, And) for p in phi.parts)
+        return " | ".join(_wrap_binary(p, attr_names) for p in phi.parts)
     if isinstance(phi, Diamond):
         return f"<{phi.rel}>({format_formula(phi.sub, attr_names)})"
     if isinstance(phi, Box):
@@ -219,7 +219,7 @@ def format_formula(phi, attr_names):
     return f"{phi.fn}({attr_names[phi.attr]}) {phi.op} {_fmt_num(phi.threshold)}"
 
 
-def _wrap_binary(p, attr_names, other):
+def _wrap_binary(p, attr_names):
     text = format_formula(p, attr_names)
     if isinstance(p, (And, Or)) and p.parts:
         return f"({text})"

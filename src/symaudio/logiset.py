@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio import FeatureCube, require_memory
+from .audio import FeatureCube, require_memory  # FeatureCube re-exported
 from .intervals import frame
 
 FEATURE_FNS = ("max", "min", "mean", "median", "std",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -62,6 +62,13 @@ class LearnParams:
     seed: object = 0
 
     def __post_init__(self):
+        seed = self.seed if isinstance(self.seed, (tuple, list)) else \
+            (self.seed,)
+        for x in (self.min_gain, self.max_leaf_entropy, self.n_trees,
+                  self.instance_frac, self.attr_frac, *seed):
+            # bool is an Integral, but True is no tree count, seed or fraction
+            if isinstance(x, bool) or not isinstance(x, Real):
+                raise ValueError(f"params hold {x!r} for a number")
         if self.mode not in ("propositional", "modal"):
             raise ValueError(f"bad mode {self.mode!r}")
         if not (self.min_gain >= 0 and self.max_leaf_entropy >= 0):
@@ -76,8 +83,6 @@ class LearnParams:
                 raise ValueError(f"bad feature function {fn!r} in params")
         if not (isinstance(self.n_trees, Integral) and self.n_trees >= 1):
             raise ValueError(f"bad n_trees {self.n_trees!r} in params")
-        seed = self.seed if isinstance(self.seed, (tuple, list)) else \
-            (self.seed,)
         if not seed or \
                 not all(isinstance(s, Integral) and s >= 0 for s in seed):
             raise ValueError(f"bad seed {self.seed!r} in params")
@@ -91,10 +96,6 @@ class Model:
     attr_names: tuple
     trees: tuple
     attr_subsets: tuple = ()
-
-    @property
-    def tree(self):
-        return self.trees[0]
 
 
 def entropy(histogram):
@@ -420,11 +421,12 @@ def learn_forest(ls, params, indices=None):
                  attr_subsets=tuple(subsets))
 
 
-def predict_forest(forest, inst, mode, n_classes):
-    """Plurality vote over the trees; ties go to the lowest class index."""
-    votes = np.zeros(n_classes, dtype=np.int64)
-    for tree in forest.trees:
-        votes[predict_tree(tree, inst, mode)] += 1
+def predict_forest(model, inst):
+    """Plurality vote over the model's trees, ties going to the lowest class
+    index; a tree model is a forest of one, whose vote is its prediction."""
+    votes = np.zeros(len(model.classes), dtype=np.int64)
+    for tree in model.trees:
+        votes[predict_tree(tree, inst, model.params.mode)] += 1
     return int(np.argmax(votes))
 
 
@@ -439,9 +441,7 @@ def predict_model(model, cube):
     if tuple(cube.names) != model.attr_names:
         raise ValueError("cube attributes do not match the model schema")
     inst = instance_from_cube(cube, model.params.mode)
-    # a tree model is a forest of one: its single vote is its prediction
-    return model.params.mode, predict_forest(model, inst, model.params.mode,
-                                             len(model.classes))
+    return model.params.mode, predict_forest(model, inst)
 
 
 def _node_to_dict(node, classes, attr_names):
@@ -472,14 +472,16 @@ def _node_from_dict(doc, model, depth):
     if d["attr_name"] not in model.attr_names:
         raise ValueError(f"decision names unknown attribute "
                          f"{d['attr_name']!r}")
-    threshold = float(d["threshold"])
-    # a decision must be one the model's own parameters let the learner make
+    threshold = d["threshold"]
+    # a decision the model's parameters allow at this depth, on a JSON number
     if d["relation"] not in _node_relations(model.params, depth) or \
             d["fn"] not in model.params.functions or \
-            d["op"] not in ("<=", ">=") or not math.isfinite(threshold):
+            d["op"] not in ("<=", ">=") or \
+            type(threshold) not in (int, float) or \
+            not math.isfinite(threshold):
         raise ValueError(f"bad decision {d!r} at depth {depth}")
     atom = Atom(fn=d["fn"], attr=model.attr_names.index(d["attr_name"]),
-                op=d["op"], threshold=threshold)
+                op=d["op"], threshold=float(threshold))
     return Split(decision=Decision(d["relation"], atom),
                  left=_node_from_dict(doc["left"], model, depth + 1),
                  right=_node_from_dict(doc["right"], model, depth + 1))

@@ -23,23 +23,23 @@ from symaudio.logiset import FeatureCube
 SR = 8000
 
 
-def _tone_wav(path, freq, seconds=0.3, amp=0.4):
-    t = np.arange(int(round(seconds * SR))) / SR
+def _tone_wav(path, freq, seconds=0.3, amp=0.4, rate=SR):
+    t = np.arange(int(round(seconds * rate))) / rate
     x = np.rint(amp * np.sin(2 * np.pi * freq * t) * 32767)
-    wavfile.write(str(path), SR, x.astype(np.int16))
+    wavfile.write(str(path), rate, x.astype(np.int16))
 
 
-def _make_corpus(root, n_per_class=6):
+def _make_corpus(root, n_per_class=6, rate=SR):
     """Two tone classes far apart in pitch; returns the manifest path."""
     root.mkdir(parents=True, exist_ok=True)
     lines = ["path,label"]
     for i in range(n_per_class):
         name = f"lo_{i}.wav"
-        _tone_wav(root / name, 400 + 7 * i)
+        _tone_wav(root / name, 400 + 7 * i, rate=rate)
         lines.append(f"{name},lo")
     for i in range(n_per_class):
         name = f"hi_{i}.wav"
-        _tone_wav(root / name, 1500 + 7 * i)
+        _tone_wav(root / name, 1500 + 7 * i, rate=rate)
         lines.append(f"{name},hi")
     manifest = root / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -687,6 +687,34 @@ def test_benchmark_trace_hooks_resolve():
                if not callable(getattr(importlib.import_module(mod), attr,
                                        None))]
     assert missing == []
+
+
+def test_benchmark_span_names_are_all_recorded(tmp_path):
+    # a wrapped name that resolves but that no command calls leaves its
+    # metric at 0 as silently as one that does not resolve: run every
+    # command with the benchmark's recorder and look for every span name
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    manifest = _make_corpus(tmp_path / "wavs", rate=16000)
+    cfg = str(_write_config(tmp_path / "exp.cfg", tmp_path / "out",
+                            ["trim=true", "bandpass_low=100",
+                             "bandpass_high=3500", "n_trees=3"]))
+    rec = spans.Recorder(str(tmp_path))
+    restore = spans.install(rec)
+    try:
+        assert cli.main(["featurize", str(manifest), "--config", cfg,
+                         "--jobs", "1"]) == 0
+        for argv in (["train"], ["train", "--model", "forest"],
+                     ["evaluate"], ["evaluate", "--model", "forest"],
+                     ["rules"]):
+            assert cli.main(argv + ["--config", cfg]) == 0
+    finally:
+        restore()
+    recorded = {s["name"] for s in rec.collect()}
+    assert sorted({t[2] for t in spans.TARGETS} - recorded) == []
 
 
 def test_readme_demo_script_runs(tmp_path):

@@ -14,6 +14,7 @@ import oracles
 import reference_split
 from symaudio import trees
 from symaudio.audio import FeatureCube
+from symaudio.evaluation import leaf_count
 from symaudio.intervals import frame
 from symaudio.logiset import Atom, atom_values, build_logiset, \
     instance_from_cube
@@ -104,6 +105,15 @@ def test_learn_params_validation():
         LearnParams(min_gain=-0.1)
     with pytest.raises(ValueError):
         LearnParams(functions=("max", "sum"))
+    # bool is an Integral, but no boolean is a count, a seed or a fraction;
+    # nor is a string, which compares as a TypeError
+    for bad in [{"n_trees": True}, {"seed": True}, {"seed": (1, False)},
+                {"seed": [False]}, {"min_gain": True},
+                {"max_leaf_entropy": False}, {"instance_frac": True},
+                {"attr_frac": True}, {"min_gain": "0.5"},
+                {"attr_frac": "1"}]:
+        with pytest.raises(ValueError):
+            LearnParams(**bad)
 
 
 # --- decision application ----------------------------------------------------
@@ -552,9 +562,16 @@ def test_forest_of_one_matches_its_tree():
     rng = np.random.default_rng(29)
     ls = _random_ls(rng, m=8, T=3, n_attrs=4)
     forest = learn_forest(ls, LearnParams(n_trees=1, seed=3))
+    params = LearnParams(min_gain=0.0, max_leaf_entropy=0.0)
+    tree = learn_tree(ls, params)
+    model = model_from_tree(tree, params, ls.classes, ls.attr_names)
+    assert leaf_count(tree) > 2
     for inst in ls.instances:
-        assert predict_forest(forest, inst, "modal", 2) == \
+        assert predict_forest(forest, inst) == \
             predict_tree(forest.trees[0], inst, "modal")
+        # a tree model votes like its tree
+        assert predict_forest(model, inst) == predict_tree(tree, inst, "modal")
+    assert leaf_count(model) == leaf_count(tree)
 
 
 def test_forest_tie_vote_goes_to_lowest_class():
@@ -564,7 +581,7 @@ def test_forest_tie_vote_goes_to_lowest_class():
                    attr_names=("a0",), trees=(leaf0, leaf1),
                    attr_subsets=((0,), (0,)))
     inst = instance_from_cube(_cube([[1.0, 2.0, 3.0]]), "modal")
-    assert predict_forest(forest, inst, "modal", 2) == 0
+    assert predict_forest(forest, inst) == 0
 
 
 # --- model files -------------------------------------------------------------
@@ -695,6 +712,9 @@ MALFORMED_MODELS = {
     "NaN threshold": _edit(ROOT + ("threshold",), float("nan")),
     "infinite threshold": _edit(ROOT + ("threshold",), float("inf")),
     "text threshold": _edit(ROOT + ("threshold",), "high"),
+    "numeric-string threshold": _edit(ROOT + ("threshold",), "0.5"),
+    "padded numeric-string threshold": _edit(ROOT + ("threshold",), " 1e3 "),
+    "boolean threshold": _edit(ROOT + ("threshold",), True),
     "bogus kind": _edit(("kind",), "bogus"),
     "empty trees": _edit(("trees",), []),
     "tree kind with two trees": _two_trees,
@@ -702,6 +722,10 @@ MALFORMED_MODELS = {
     "negative seed": _edit(("params", "seed"), [-1]),
     "NaN min_gain": _edit(("params", "min_gain"), float("nan")),
     "zero n_trees": _edit(("params", "n_trees"), 0),
+    "boolean n_trees": _edit(("params", "n_trees"), True),
+    "boolean seed": _edit(("params", "seed"), [True]),
+    "boolean seed entry": _edit(("params", "seed"), [1, False]),
+    "boolean min_gain": _edit(("params", "min_gain"), False),
     "bad params mode": _edit(("params", "mode"), "sideways"),
     "unknown params key": _edit(("params", "max_depth"), 3),
     "relation Q": _edit(ROOT + ("relation",), "Q"),
