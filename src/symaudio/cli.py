@@ -11,10 +11,10 @@ import contextlib
 import csv
 import importlib
 import io
+import multiprocessing
 import os
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -194,10 +194,15 @@ def _read_manifest(path):
     return rows
 
 
+# Conditioned clips by manifest row, held by the process that featurizes
+# the row: its worker, or this process when featurize runs without workers.
+_clips = {}
+
+
 def _prep_one(job):
-    """Decode and condition one file; returns ('ok', samples) or
-    ('error', message).  Runs in worker processes, must not raise."""
-    path, cfg = job
+    """Decode and condition the file of manifest row i and keep its samples
+    in _clips; returns ('ok', length) or ('error', message)."""
+    i, path, cfg = job
     try:
         sig = decode_wav(path)
         if cfg.trim:
@@ -206,15 +211,17 @@ def _prep_one(job):
         sig = resample(sig, cfg.resample_hz)
         if cfg.bandpass_low is not None:
             sig = bandpass(sig, cfg.bandpass_low, cfg.bandpass_high)
-        return ("ok", sig.samples)
+        _clips[i] = sig.samples
+        return ("ok", len(sig.samples))
     except (OSError, ValueError) as e:
         return ("error", str(e))
 
 
 def _feat_one(job):
-    """Featurize one conditioned clip cut or padded to n_target samples;
+    """Featurize row i's kept clip cut or padded to n_target samples;
     returns ('ok', (names, values)) or ('error', message)."""
-    samples, n_target, cfg = job
+    i, n_target, cfg = job
+    samples = _clips.pop(i)
     try:
         if len(samples) >= n_target:
             samples = samples[:n_target]
@@ -230,14 +237,92 @@ def _feat_one(job):
         return ("error", str(e))
 
 
-def _map_jobs(fn, jobs, n_workers, pool):
-    # Runs the jobs on the pool of n_workers, or in this process without
-    # one.  Each worker takes its share in about 32 chunks, so that a long
-    # manifest does not pickle one future per row.
-    if pool is None:
+class _RemoteTraceback(Exception):
+    """A worker's traceback, chained as the cause of the error it raised."""
+
+    def __str__(self):
+        return self.args[0]
+
+
+class _Worker:
+    """A forked featurize process and this process's end of its pipe; busy
+    from sending it a batch until its reply is read."""
+
+    def __init__(self, conn, proc):
+        self.conn, self.proc, self.busy = conn, proc, False
+
+    def reply(self):
+        try:
+            exc, payload = self.conn.recv()
+        except (EOFError, OSError):   # the worker is gone
+            self.proc.join()
+            raise RuntimeError(f"featurize worker {self.proc.pid} ended "
+                               f"with exit code {self.proc.exitcode}") \
+                from None
+        self.busy = False
+        if exc is not None:
+            raise exc from _RemoteTraceback(payload)
+        return payload
+
+
+def _serve(conn, inherited):
+    """A worker's loop: run each batch (fn, jobs) and reply (None, results),
+    or (error, traceback) when a job raises, until the pipe closes."""
+    # Copies of other pipes' parent ends would keep those pipes open after
+    # this process closes them.
+    for c in inherited:
+        c.close()
+    while True:
+        try:
+            fn, jobs = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (None, [fn(j) for j in jobs])
+        except Exception as e:
+            reply = (e, traceback.format_exc())
+        conn.send(reply)
+
+
+def _stop_workers(workers):
+    """End and reap every worker: a busy one is killed, an idle one reads
+    end-of-file and returns."""
+    for w in workers:
+        if w.busy:
+            w.proc.kill()
+        w.conn.close()
+    for w in workers:
+        w.proc.join()
+
+
+def _map_jobs(fn, jobs, n_workers, workers):
+    # [fn(job) for job in jobs].  A job's first item is its manifest row i;
+    # worker i % n_workers runs it, so a row's second job finds the clip its
+    # first one kept.  The first call forks the workers into the empty list
+    # `workers`; one worker means this process.  Each worker gets its jobs
+    # in one message and replies in one.
+    if n_workers == 1:
         return [fn(j) for j in jobs]
-    chunk = max(1, len(jobs) // (32 * n_workers))
-    return list(pool.map(fn, jobs, chunksize=chunk))
+    if not workers:
+        ctx = multiprocessing.get_context("fork")
+        for _ in range(n_workers):
+            conn, child = ctx.Pipe()
+            proc = ctx.Process(target=_serve, daemon=True, args=(
+                child, [w.conn for w in workers] + [conn]))
+            proc.start()
+            child.close()
+            workers.append(_Worker(conn, proc))
+    shares = [[] for _ in workers]
+    for job in jobs:
+        shares[job[0] % n_workers].append(job)
+    for w, share in zip(workers, shares):
+        with contextlib.suppress(OSError):   # w.reply() says what went wrong
+            w.conn.send((fn, share))
+        w.busy = True
+    results = {}
+    for w, share in zip(workers, shares):
+        results.update(zip((job[0] for job in share), w.reply()))
+    return [results[job[0]] for job in jobs]
 
 
 def cmd_featurize(args, cfg):
@@ -247,7 +332,7 @@ def cmd_featurize(args, cfg):
                           "(argument or config key)")
     rows = _read_manifest(manifest)
 
-    # The pool forks its workers: import what they need here, once, rather
+    # The workers are forked: import what they need here, once, rather
     # than in every worker.
     needed = ["scipy.fft", "scipy.io.wavfile"]
     if cfg.bandpass_low is not None:
@@ -255,51 +340,57 @@ def cmd_featurize(args, cfg):
     for module in needed:
         importlib.import_module(module)
 
-    # One pool serves both passes.  It forks all its workers at once, so
-    # it starts no more than there are files and CPUs.
+    # Workers are forked all at once, so there are no more than files and
+    # CPUs.  They keep each row's clip from the first pass to the second,
+    # so they must be forked, not spawned.
     n_workers = min(args.jobs, len(rows), os.cpu_count() or 1)
-    pool = ProcessPoolExecutor(max_workers=n_workers) \
-        if n_workers > 1 else None
-    with pool or contextlib.nullcontext():
-        return _featurize_rows(rows, cfg, n_workers, pool)
+    if "fork" not in multiprocessing.get_all_start_methods():
+        n_workers = 1
+    workers = []
+    try:
+        return _featurize_rows(rows, cfg, n_workers, workers)
+    finally:
+        _stop_workers(workers)
+        _clips.clear()
 
 
-def _featurize_rows(rows, cfg, n_workers, pool):
+def _featurize_rows(rows, cfg, n_workers, workers):
     n_total = len(rows)
     outcome = {}   # listed path -> report text, for each row not plain ok
-    prepped = _map_jobs(_prep_one, [(r[0], cfg) for r in rows], n_workers,
-                        pool)
-    alive = []
-    for (resolved, listed, label), (kind, payload) in zip(rows, prepped):
+    prepped = _map_jobs(_prep_one,
+                        [(i, r[0], cfg) for i, r in enumerate(rows)],
+                        n_workers, workers)
+    lengths = {}   # row -> conditioned length, for each row still alive
+    for i, (kind, payload) in enumerate(prepped):
         if kind == "ok":
-            alive.append((listed, label, payload))
+            lengths[i] = payload
         else:
-            outcome[listed] = f"error: {payload}"
+            outcome[rows[i][1]] = f"error: {payload}"
 
     cubes, labels = [], []
-    if alive:
+    if lengths:
         if cfg.clip_seconds is not None:
             n_target = int(round(cfg.clip_seconds * cfg.resample_hz))
         else:
-            n_target = min(len(s) for _, _, s in alive)
+            n_target = min(lengths.values())
         n_min = cfg.window_len + (cfg.n_points - 1) * cfg.hop
         if n_target < n_min:
             raise ValueError(
                 f"{n_target} samples per clip cannot fill {cfg.n_points} "
                 f"windows of {cfg.window_len} at hop {cfg.hop} "
                 f"(need at least {n_min})")
-        feats = _map_jobs(_feat_one,
-                          [(s, n_target, cfg) for _, _, s in alive],
-                          n_workers, pool)
-        for (listed, label, samples), (kind, payload) in zip(alive, feats):
+        feats = _map_jobs(_feat_one, [(i, n_target, cfg) for i in lengths],
+                          n_workers, workers)
+        for (i, length), (kind, payload) in zip(lengths.items(), feats):
+            _, listed, label = rows[i]
             if kind != "ok":
                 outcome[listed] = f"error: {payload}"
                 continue
             names, values = payload
             cubes.append(values)
             labels.append(label)
-            if len(samples) < n_target:
-                outcome[listed] = (f"ok (zero-padded {len(samples)} -> "
+            if length < n_target:
+                outcome[listed] = (f"ok (zero-padded {length} -> "
                                    f"{n_target} samples)")
 
     n_ok = len(cubes)

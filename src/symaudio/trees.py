@@ -75,6 +75,11 @@ class LearnParams:
             raise ValueError("min_gain and max_leaf_entropy must be >= 0")
         if not (0.0 < self.instance_frac <= 1.0 and 0.0 < self.attr_frac <= 1.0):
             raise ValueError("sampling fractions must be in (0, 1]")
+        # a string is a sequence of names to `in`, and "L" or "LG" would
+        # pass, but model files write and read these fields as lists
+        if isinstance(self.relations, str) or \
+                isinstance(self.functions, str):
+            raise ValueError("params hold a string for a list of names")
         for r in self.relations:
             if r not in RELATIONS or r == "Id":
                 raise ValueError(f"bad relation {r!r} in params")

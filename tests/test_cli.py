@@ -1,14 +1,18 @@
 """End-to-end command line tests on a tiny synthetic tone corpus."""
 
+import collections
 import hashlib
 import importlib
 import importlib.util
 import json
+import multiprocessing
 import os
+import signal
 import struct
 import subprocess
 import sys
 import zlib
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -57,6 +61,25 @@ def _write_config(path, out_dir, extra=()):
     lines.extend(extra)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+class _Hung(BaseException):
+    """The deadline's alarm: no Exception, so cli.main cannot turn it into
+    an exit code."""
+
+
+@pytest.fixture(autouse=True)
+def deadline():
+    # a command that waits forever, say on a lost featurize worker, fails
+    # its test instead of stalling the run
+    def hung(signum, frame):
+        raise _Hung
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -186,18 +209,30 @@ def test_featurize_every_row_failing_the_second_pass(tmp_path, capsys, jobs):
     assert not (out / "features.cube").exists()
 
 
+def _no_children_left():
+    # every worker was reaped: none is listed and none waits to be
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_featurize_clip_too_short_for_the_windows_writes_nothing(tmp_path,
                                                                   capsys):
-    # 80 samples cannot fill 5 windows of 256 at hop 128 (768 samples)
+    # 80 samples cannot fill 5 windows of 256 at hop 128 (768 samples); at
+    # --jobs 2 that is found between the workers' two passes
     manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
     out = tmp_path / "out"
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(f"out_dir={out}\nclip_seconds=0.01\n", encoding="utf-8")
-    rc = cli.main(["featurize", str(manifest), "--config", str(cfg)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "data error: 80 samples per clip" in err and "768" in err
-    assert not out.exists()
+    for jobs in ("1", "2"):
+        rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                       "--jobs", jobs])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "data error: 80 samples per clip" in err and "768" in err
+        assert not out.exists()
+        assert cli._clips == {}
+        _no_children_left()
 
 
 def test_commands_write_into_a_directory_not_made_yet(workspace, tmp_path):
@@ -326,24 +361,24 @@ def test_featurize_jobs_below_one_is_usage_error(tmp_path, capsys, jobs):
                                         (1, []), (None, [])])
 def test_featurize_pool_is_no_larger_than_cpus_and_files(
         tmp_path, monkeypatch, cpus, pools):
-    # the pool is a recorder that runs in-process: nothing is forked; one
-    # pool serves both passes of a command
-    sizes = []
+    # featurize forks min(--jobs, files, CPUs) workers once for both of its
+    # passes, and with one worker forks none and runs every job here
+    forked, here = [], []
+    map_jobs, featurize_signal = cli._map_jobs, cli.featurize_signal
 
-    class Recorder:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_map_jobs(fn, jobs, n_workers, workers):
+        had = len(workers)
+        result = map_jobs(fn, jobs, n_workers, workers)
+        if len(workers) > had:
+            forked.append(len(workers) - had)
+        return result
 
-        def __enter__(self):
-            return self
+    def recording_featurize_signal(*args, **kwargs):
+        here.append(os.getpid())   # a forked worker appends to its own copy
+        return featurize_signal(*args, **kwargs)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(cli, "_map_jobs", recording_map_jobs)
+    monkeypatch.setattr(cli, "featurize_signal", recording_featurize_signal)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     wavs = tmp_path / "wavs"
     wavs.mkdir()
@@ -355,20 +390,28 @@ def test_featurize_pool_is_no_larger_than_cpus_and_files(
     rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
                    "--jobs", "50000"])
     assert rc == 0
-    assert sizes == pools
+    assert forked == pools
+    assert here == ([] if pools else [os.getpid()] * 3)
+    _no_children_left()
 
 
 def test_featurize_long_manifest_of_missing_files(tmp_path, monkeypatch,
                                                   capsys):
-    # 20,000 rows go to the workers in chunks, not as one future per row
-    submits = []
+    # 20,000 rows cross each worker's pipe in one request and one reply per
+    # pass, not one message per row
+    messages = collections.Counter()
+    send, recv = Connection.send, Connection.recv
 
-    class Counting(cli.ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            submits.append(1)
-            return super().submit(*args, **kwargs)
+    def counting_send(self, obj):
+        messages[id(self)] += 1
+        return send(self, obj)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", Counting)
+    def counting_recv(self):
+        messages[id(self)] += 1
+        return recv(self)
+
+    monkeypatch.setattr(Connection, "send", counting_send)
+    monkeypatch.setattr(Connection, "recv", counting_recv)
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("".join(f"ghost_{i}.wav,{'ab'[i % 2]}\n"
                                 for i in range(20_000)), encoding="utf-8")
@@ -377,9 +420,94 @@ def test_featurize_long_manifest_of_missing_files(tmp_path, monkeypatch,
                    "--jobs", "2"])
     assert rc == 2
     assert "no usable audio among 20000 files" in capsys.readouterr().err
-    assert len(submits) <= 2 * 32 + 1
+    # every clip fails to decode, so only the first pass runs
+    assert sorted(messages.values()) == [2, 2]
     report = (tmp_path / "out" / "features.report.txt").read_text()
     assert report.splitlines()[-1] == "processed 0/20000"
+    _no_children_left()
+
+
+def _mixed_corpus(root):
+    """Six clips of three lengths.  The shortest are on odd rows only, so
+    at --jobs 2 worker 0 cuts its clips to a length it never saw."""
+    root.mkdir(parents=True)
+    lines = []
+    for i, seconds in enumerate((0.3, 0.25, 0.35, 0.3, 0.35, 0.25)):
+        name = f"c{i}.wav"
+        _tone_wav(root / name, 400 + 900 * (i % 2) + 7 * i, seconds=seconds)
+        lines.append(f"{name},{'lo' if i % 2 == 0 else 'hi'}")
+    manifest = root / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return manifest
+
+
+@pytest.mark.parametrize("clip", [None, "0.4"])
+def test_featurize_mixed_lengths_same_bytes_at_any_jobs(tmp_path, clip):
+    # without clip_seconds every clip is cut to the shortest; with 0.4 s
+    # every clip is zero-padded: each worker must featurize the clips it
+    # conditioned itself
+    manifest = _mixed_corpus(tmp_path / "wavs")
+    outputs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        cfg = tmp_path / f"{jobs}.cfg"
+        cfg.write_text(f"out_dir={out}\n" + ("" if clip is None else
+                                             f"clip_seconds={clip}\n"),
+                       encoding="utf-8")
+        assert cli.main(["featurize", str(manifest), "--config", str(cfg),
+                         "--jobs", jobs]) == 0
+        outputs.append([(out / name).read_bytes() for name in
+                        ("features.cube", "features.report.txt")])
+    assert outputs[0] == outputs[1]
+    report = outputs[0][1].decode()
+    if clip is None:
+        assert load_cube_file(str(tmp_path / "jobs1" / "features.cube")) \
+            .values.shape[0] == 6
+        assert "c2.wav\tok\n" in report and "zero-padded" not in report
+    else:
+        assert "c1.wav\tok (zero-padded 2000 -> 3200 samples)" in report
+        assert report.count("zero-padded") == 6
+    _no_children_left()
+
+
+def test_featurize_worker_fault_is_internal_error(tmp_path, monkeypatch,
+                                                  capsys):
+    # an unexpected error in a worker's job ends the command with exit 3
+    # and the worker's own traceback
+    def broken(*args, **kwargs):
+        raise RuntimeError("feature kernel fault")
+
+    monkeypatch.setattr(cli, "featurize_signal", broken)
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                   "--jobs", "2"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "RuntimeError: feature kernel fault" in err
+    assert "in _feat_one" in err and "in broken" in err
+    assert not (tmp_path / "out" / "features.cube").exists()
+    _no_children_left()
+
+
+def test_featurize_killed_worker_is_internal_error(tmp_path, monkeypatch,
+                                                   capsys):
+    # a worker that dies inside a job ends the command with exit 3, not a
+    # wait for a reply that never comes
+    me = os.getpid()
+
+    def killed(*args, **kwargs):
+        if os.getpid() != me:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(cli, "featurize_signal", killed)
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                   "--jobs", "2"])
+    assert rc == 3
+    assert "exit code -9" in capsys.readouterr().err
+    _no_children_left()
 
 
 def test_featurize_without_manifest_is_config_error(tmp_path, capsys):

@@ -114,6 +114,12 @@ def test_learn_params_validation():
                 {"attr_frac": "1"}]:
         with pytest.raises(ValueError):
             LearnParams(**bad)
+    # every character of "L" or "LG" is a relation name, but a model file
+    # written from such params could not be read back
+    for bad in [{"relations": "L"}, {"relations": "LG"},
+                {"functions": "max"}]:
+        with pytest.raises(ValueError, match="string"):
+            LearnParams(**bad)
 
 
 # --- decision application ----------------------------------------------------
@@ -608,6 +614,18 @@ def test_model_round_trip_forest(tmp_path):
     assert load_model(path) == model
     save_model(model, path)
     assert load_model(path) == model
+
+
+def test_model_round_trip_with_tuple_params(tmp_path):
+    rng = np.random.default_rng(39)
+    ls = _random_ls(rng, m=8, T=3, n_attrs=2)
+    params = LearnParams(relations=("L", "G"), functions=("max", "min"))
+    model = model_from_tree(learn_tree(ls, params), params, ls.classes,
+                            ls.attr_names)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    assert load_model(path) == model
+    assert load_model(path).params.relations == ("L", "G")
 
 
 def test_model_json_stable_bytes():
