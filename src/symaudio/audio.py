@@ -161,6 +161,7 @@ KAISER_BETA = 8.0
 RESAMPLE_BLOCK = 2 ** 15   # kernel entries per block of output samples
 KERNEL_CACHE = 2 ** 18     # kernel entries kept for reuse across blocks
 MAX_TAPS = 2 ** 20         # taps per output sample: a 1:16384 rate ratio
+PLAN_CAP = 2 ** 16         # outputs whose first tap and row are kept per pair
 I0_BETA = float(np.i0(KAISER_BETA))   # the Kaiser window's normaliser
 _kernel_rows = threading.local()   # .store: see _row_store
 
@@ -215,16 +216,73 @@ def _kernel(t, half, cutoff, out, scratch, mask):
     return out
 
 
+class _RowStore:
+    """The kernel rows kept for one rate pair and table size: `slot_of`, a
+    dict from row key to slot, and the (n_table, taps) `table` those slots
+    index.  Beside them, the plan of outputs 0..planned-1: `plan[0, n]` is
+    output n's first input tap as a row of the padded input's windows, and
+    `plan[1, n]` its slot in the table."""
+
+    def __init__(self, key, n_table, taps):
+        self.key = key
+        self.slot_of = {}
+        self.table = np.empty((n_table, taps))
+        self.plan = np.empty((2, PLAN_CAP), dtype=np.intp)
+        self.planned = 0
+
+
 def _row_store(sr, target_rate, n_table, taps):
-    """The kernel rows kept for one rate pair and table size: a dict from
-    row key to slot, and the (n_table, taps) table those slots index.
-    Each thread keeps one store; another pair or size starts an empty one."""
+    """This thread's _RowStore for the rate pair and table size; another
+    pair or size starts an empty one."""
     key = (sr, target_rate, n_table)
     store = getattr(_kernel_rows, "store", None)
-    if store is None or store[0] != key:
+    if store is None or store.key != key:
         _kernel_rows.store = None          # free the old table first
-        store = _kernel_rows.store = (key, {}, np.empty((n_table, taps)))
-    return store[1], store[2]
+        store = _kernel_rows.store = _RowStore(key, n_table, taps)
+    return store
+
+
+def _block_rows(store, lo, hi, ratio, half, cutoff):
+    """First taps (as window rows) and table slots of outputs lo..hi-1,
+    with the rows missing from the table computed into it; a block that
+    starts within the plan extends it, up to the plan's cap."""
+    taps = store.table.shape[1]
+    # Tap k of output n sits at t = k - pos, pos = n / ratio, and k runs
+    # from ceil(pos - half).  Both frac(pos) and ceil(pos - half) -
+    # floor(pos) are exact, and the pair fixes every t of the row, so rows
+    # with the same pair share one kernel row, bit for bit.
+    pos = np.arange(lo, hi) / ratio
+    start = np.ceil(pos - half).astype(np.int64)
+    whole = np.floor(pos)
+    keys = list(zip((pos - whole).tolist(), (start - whole).tolist()))
+    cache, table = store.slot_of, store.table
+    slots = list(map(cache.get, keys))
+    if None in slots:
+        if len(cache) + len(keys) > len(table):
+            cache.clear()
+            store.planned = 0      # its slots named the rows now dropped
+        # the first position of each new key; keys join the cache only
+        # once their rows are in the table, so the store stays whole
+        # if the kernel fails
+        fresh = {}
+        for i, key in enumerate(keys):
+            if key not in cache:
+                fresh.setdefault(key, i)
+        new = list(fresh.values())
+        n_old = len(cache)
+        t = (start[new, None] + np.arange(taps)) - pos[new, None]
+        _kernel(t, half, cutoff, table[n_old:n_old + len(new)],
+                np.empty((4,) + t.shape), np.empty(t.shape, dtype=bool))
+        cache.update(zip(fresh, range(n_old, n_old + len(new))))
+        slots = list(map(cache.get, keys))
+    first = start + taps                   # x[k] is xpad[k + taps]
+    slots = np.array(slots, dtype=np.intp)
+    done, end = store.planned, min(hi, store.plan.shape[1])
+    if lo <= done < end:
+        store.plan[0, done:end] = first[done - lo:end - lo]
+        store.plan[1, done:end] = slots[done - lo:end - lo]
+        store.planned = end
+    return first, slots
 
 
 def resample(sig, target_rate):
@@ -234,10 +292,13 @@ def resample(sig, target_rate):
     entries.  Up to KERNEL_CACHE entries of kernel rows are kept for reuse
     across blocks and across calls at the same rate pair in one process
     (per thread), so the working set stays a few MB at any rate ratio, and
-    clips at one rate pair after the first compute few rows or none.  Each
-    output sample is the sum of its own row of tap products, each computed
-    by the IEEE operations of np.sinc and np.i0 in their order, so neither
-    the blocks nor the reuse change a bit of the result.
+    clips at one rate pair after the first compute few rows or none.  The
+    first tap and kernel row of the first PLAN_CAP outputs are kept with
+    those rows, so later clips at that pair read them instead of working
+    them out.  Each output sample is the sum of its own row of tap
+    products, each computed by the IEEE operations of np.sinc and np.i0 in
+    their order, so neither the blocks nor the reuse change a bit of the
+    result.
     """
     if target_rate <= 0:
         raise ValueError("target rate must be positive")
@@ -259,45 +320,21 @@ def resample(sig, target_rate):
     require_memory(n_out * 8, f"resampling {n_in} samples from {sr} Hz "
                               f"to {target_rate} Hz")
     rows = max(1, RESAMPLE_BLOCK // taps)
-    offsets = np.arange(taps)
     xpad = np.zeros(n_in + 2 * taps)   # x[k] is xpad[k + taps], 0 outside
     xpad[taps:taps + n_in] = x
     # the input taps of an output whose first tap is k: windows[k + taps]
     windows = np.lib.stride_tricks.sliding_window_view(xpad, taps)
     out = np.empty(n_out)
-    # Tap k of output n sits at t = k - pos, pos = n / ratio, and k runs
-    # from ceil(pos - half).  Both frac(pos) and ceil(pos - half) -
-    # floor(pos) are exact, and the pair fixes every t of the row, so rows
-    # with the same pair share one kernel row, bit for bit.
-    cache, table = _row_store(sr, target_rate,
-                              max(rows, KERNEL_CACHE // taps), taps)
+    store = _row_store(sr, target_rate, max(rows, KERNEL_CACHE // taps), taps)
     for lo in range(0, n_out, rows):
-        r = min(rows, n_out - lo)
-        pos = np.arange(lo, lo + r) / ratio
-        start = np.ceil(pos - half).astype(np.int64)
-        whole = np.floor(pos)
-        keys = list(zip((pos - whole).tolist(), (start - whole).tolist()))
-        slots = list(map(cache.get, keys))
-        if None in slots:
-            if len(cache) + r > len(table):
-                cache.clear()
-            # the first position of each new key; keys join the cache only
-            # once their rows are in the table, so the store stays whole
-            # if the kernel fails
-            fresh = {}
-            for i, key in enumerate(keys):
-                if key not in cache:
-                    fresh.setdefault(key, i)
-            new = list(fresh.values())
-            n_old = len(cache)
-            t = (start[new, None] + offsets) - pos[new, None]
-            _kernel(t, half, cutoff, table[n_old:n_old + len(new)],
-                    np.empty((4,) + t.shape), np.empty(t.shape, dtype=bool))
-            cache.update(zip(fresh, range(n_old, n_old + len(new))))
-            slots = list(map(cache.get, keys))
-        xv = windows[start + taps]
-        xv *= table[slots]
-        xv.sum(axis=1, out=out[lo:lo + r])
+        hi = min(lo + rows, n_out)
+        if hi <= store.planned:
+            first, slots = store.plan[:, lo:hi]
+        else:
+            first, slots = _block_rows(store, lo, hi, ratio, half, cutoff)
+        xv = windows[first]
+        xv *= store.table[slots]
+        xv.sum(axis=1, out=out[lo:hi])
     return AudioSignal(out, int(target_rate))
 
 
@@ -328,18 +365,24 @@ def bandpass(sig, low, high):
 
 
 def trim_nonspeech(sig, frame_ms=25.0, threshold_db=35.0):
-    """Drop frames whose RMS sits more than threshold_db below the peak frame."""
+    """Drop frames whose RMS sits more than threshold_db below the peak frame.
+    A frame longer than the signal is the whole signal."""
     if frame_ms <= 0:
         raise ValueError("frame length must be positive")
-    n = max(1, int(round(sig.sample_rate * frame_ms / 1000.0)))
-    frames = [sig.samples[i:i + n] for i in range(0, len(sig.samples), n)]
-    rms = np.array([math.sqrt(float(np.mean(f ** 2))) for f in frames])
+    x = sig.samples
+    n = sig.sample_rate * frame_ms / 1000.0
+    n = len(x) if n >= len(x) else max(1, int(round(n)))
+    whole = len(x) // n * n
+    # each frame's mean square, the last partial frame apart
+    ms = np.mean(np.square(x[:whole].reshape(-1, n)), axis=1)
+    if whole < len(x):
+        ms = np.append(ms, np.mean(np.square(x[whole:])))
+    rms = np.sqrt(ms)
     peak = rms.max()
     if peak <= 0.0:
         raise ValueError("no speech detected: signal is silent")
     keep = rms >= peak * 10.0 ** (-threshold_db / 20.0)
-    out = np.concatenate([f for f, k in zip(frames, keep) if k])
-    return AudioSignal(out, sig.sample_rate)
+    return AudioSignal(x[np.repeat(keep, n)[:len(x)]], sig.sample_rate)
 
 
 # --- spectrogram ------------------------------------------------------------
@@ -360,6 +403,14 @@ def hann_window(window_len):
     return 0.5 * (1.0 - _cos_turns(k / window_len))
 
 
+@lru_cache(maxsize=16)
+def _hann(window_len):
+    """hann_window(window_len), read-only, computed once per process."""
+    w = hann_window(window_len)
+    w.setflags(write=False)
+    return w
+
+
 def stft(sig, window_len=256, hop=128):
     """Magnitude spectrogram with a periodic Hann window, no padding."""
     if window_len < 2 or hop < 1:
@@ -369,7 +420,7 @@ def stft(sig, window_len=256, hop=128):
         raise ValueError(f"signal shorter than one window ({n} < {window_len})")
     n_frames = (n - window_len) // hop + 1
     idx = hop * np.arange(n_frames)[:, None] + np.arange(window_len)[None, :]
-    frames = sig.samples[idx] * hann_window(window_len)[None, :]
+    frames = sig.samples[idx] * _hann(window_len)[None, :]
     mags = np.abs(np.fft.rfft(frames, axis=1)).T
     bin_freqs = np.arange(window_len // 2 + 1) * (sig.sample_rate / window_len)
     return Spectrogram(magnitudes=mags, bin_freqs=bin_freqs, frame_hop=hop,
@@ -514,15 +565,25 @@ def triangle_response(f, left, center, right):
     return np.maximum(0.0, np.minimum(up, down))
 
 
-def mel_spectrogram(spec, n_filters=26):
-    """Mel-filtered magnitudes; names carry the center frequency in Hz."""
-    weights, centers = mel_filterbank(n_filters, spec.sample_rate,
-                                      spec.bin_freqs)
-    series = weights @ spec.magnitudes
-    names = [f"mel_{int(round(c))}" for c in centers]
+@lru_cache(maxsize=16)
+def _mel_bank(n_filters, sample_rate, freq_bytes):
+    """mel_spectrogram's read-only weights and tuple of names for the bin
+    frequencies whose float64 bytes are freq_bytes, built once per
+    process; a collision raises on every call, since nothing is kept."""
+    weights, centers = mel_filterbank(n_filters, sample_rate,
+                                      np.frombuffer(freq_bytes))
+    names = tuple(f"mel_{int(round(c))}" for c in centers)
     if len(set(names)) != len(names):
         raise ValueError("Mel centers collide after rounding to integer Hz")
-    return dict(zip(names, series))
+    weights.setflags(write=False)
+    return weights, names
+
+
+def mel_spectrogram(spec, n_filters=26):
+    """Mel-filtered magnitudes; names carry the center frequency in Hz."""
+    freqs = np.asarray(spec.bin_freqs, dtype=np.float64)
+    weights, names = _mel_bank(n_filters, spec.sample_rate, freqs.tobytes())
+    return dict(zip(names, weights @ spec.magnitudes))
 
 
 LOG_FLOOR = 1e-10

@@ -143,7 +143,25 @@ def test_resample_rows_reused_across_rate_pairs_stay_bitwise():
                 want.view(np.uint64).tolist()
 
 
-def test_resample_second_call_computes_no_rows(monkeypatch):
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """An empty row store for this thread, and the (lo, hi) of every block
+    whose first taps and slots resample works out rather than reads from
+    the plan."""
+    monkeypatch.setattr(audio._kernel_rows, "store", None)
+    calls = []
+
+    def recording(store, lo, hi, *args):
+        calls.append((lo, hi))
+        return block_rows(store, lo, hi, *args)
+
+    block_rows = audio._block_rows
+    monkeypatch.setattr(audio, "_block_rows", recording)
+    return calls
+
+
+def test_resample_second_call_computes_no_rows(monkeypatch, plan_calls):
+    # nor any row keys: the second clip reads every block from the plan
     rows = []
 
     def counting(t, *args):
@@ -156,20 +174,25 @@ def test_resample_second_call_computes_no_rows(monkeypatch):
     resample(AudioSignal(np.ones(500), 22050), 8000)   # another pair first
     first = resample(sig, 8000).samples
     assert 0 < sum(rows) < len(first)
+    assert audio._kernel_rows.store.planned == len(first)
     rows.clear()
+    plan_calls.clear()
     again = resample(sig, 8000).samples
-    assert rows == []
+    assert rows == [] and plan_calls == []
     assert again.view(np.uint64).tolist() == first.view(np.uint64).tolist()
+    want = reference_resample.resample(sig, 8000).samples
+    assert first.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_resample_threads_keep_their_own_rows():
-    # each thread keeps its own rows, so threads that switch rate pairs
-    # under one another still match the serial results
+    # each thread keeps its own rows and plan, so threads that switch rate
+    # pairs and lengths under one another still match the reference
     rng = np.random.default_rng(10)
+    pairs = ((44100, 8000), (48000, 16000))
     jobs = [(AudioSignal(rng.standard_normal(n), sr), target)
-            for n in (3001, 22050) for sr, target in ((44100, 8000),
-                                                      (48000, 16000))] * 4
-    want = [resample(sig, target).samples.tobytes() for sig, target in jobs]
+            for n in (3001, 22050, 9001) for sr, target in pairs] * 3
+    want = [reference_resample.resample(sig, target).samples.tobytes()
+            for sig, target in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -179,6 +202,77 @@ def test_resample_threads_keep_their_own_rows():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+def _bitwise_reference(sig, target):
+    got = resample(sig, target).samples
+    want = reference_resample.resample(sig, target).samples
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    return len(got)
+
+
+def test_resample_plan_extends_and_reads_a_prefix(plan_calls):
+    rng = np.random.default_rng(12)
+    short, long = 9001, 30001
+    n_short = _bitwise_reference(
+        AudioSignal(rng.standard_normal(short), 44100), 8000)
+    plan_calls.clear()
+    # a longer clip works out only the blocks past the plan, then extends it
+    n_long = _bitwise_reference(
+        AudioSignal(rng.standard_normal(long), 44100), 8000)
+    assert plan_calls and all(hi > n_short for lo, hi in plan_calls)
+    assert audio._kernel_rows.store.planned == n_long
+    plan_calls.clear()
+    # a shorter one reads a prefix of it
+    _bitwise_reference(AudioSignal(rng.standard_normal(short), 44100), 8000)
+    assert plan_calls == []
+    assert audio._kernel_rows.store.planned == n_long
+
+
+def test_resample_plan_stops_at_its_cap(plan_calls, monkeypatch):
+    cap = 250                  # not a whole number of 92-row blocks
+    monkeypatch.setattr(audio, "PLAN_CAP", cap)
+    rng = np.random.default_rng(13)
+    sig = AudioSignal(rng.standard_normal(3500), 44100)
+    n_out = _bitwise_reference(sig, 8000)
+    store = audio._kernel_rows.store
+    assert n_out > cap and store.planned == cap
+    assert store.plan.shape == (2, cap)
+    plan_calls.clear()
+    # blocks past the cap work out their keys as before, in the same loop
+    _bitwise_reference(AudioSignal(rng.standard_normal(3500), 44100), 8000)
+    rows = audio.RESAMPLE_BLOCK // store.table.shape[1]
+    assert plan_calls == [(lo, min(lo + rows, n_out))
+                          for lo in range(0, n_out, rows) if lo + rows > cap]
+    assert store.planned == cap
+
+
+def test_resample_plan_dropped_with_a_table_cleared_every_block(
+        plan_calls, monkeypatch):
+    # a table of one block's rows is cleared whenever a block needs a new
+    # row, and the plan with it, since its slots name the rows dropped
+    monkeypatch.setattr(audio, "KERNEL_CACHE", 0)
+    rng = np.random.default_rng(14)
+    for n in (30001, 30001, 9001, 40):
+        _bitwise_reference(AudioSignal(rng.standard_normal(n), 44100), 8000)
+        store = audio._kernel_rows.store
+        assert store.planned <= len(store.table)
+
+
+def test_resample_plan_within_its_cap_at_1_to_6250(plan_calls, monkeypatch):
+    # 50 MHz to 8 kHz: one output every 6250 inputs, 400,001 taps, and a
+    # table of six rows, enough for every key of the six outputs
+    sr, target = 50_000_000, 8000
+    taps = 2 * math.ceil(32.0 * sr / target) + 1
+    monkeypatch.setattr(audio, "KERNEL_CACHE", 6 * taps)
+    monkeypatch.setattr(audio, "PLAN_CAP", 4)
+    sig = AudioSignal(np.random.default_rng(15).standard_normal(6 * 6250), sr)
+    assert _bitwise_reference(sig, target) == 6
+    store = audio._kernel_rows.store
+    assert store.planned == 4 and store.plan.shape == (2, 4)
+    plan_calls.clear()
+    _bitwise_reference(sig, target)
+    assert plan_calls == [(4, 5), (5, 6)]
 
 
 def test_window_recurrence_equals_np_i0():
@@ -285,6 +379,39 @@ def test_trim_keeps_constant_level():
 def test_trim_silent_signal_rejected():
     with pytest.raises(ValueError, match="no speech"):
         trim_nonspeech(AudioSignal(np.zeros(1000), SR))
+
+
+def _trim_frame_by_frame(sig, frame_ms, threshold_db):
+    n = max(1, int(round(sig.sample_rate * frame_ms / 1000.0)))
+    frames = [sig.samples[i:i + n] for i in range(0, len(sig.samples), n)]
+    rms = np.array([math.sqrt(float(np.mean(f ** 2))) for f in frames])
+    keep = rms >= rms.max() * 10.0 ** (-threshold_db / 20.0)
+    return np.concatenate([f for f, k in zip(frames, keep) if k])
+
+
+def test_trim_equals_frame_by_frame_rms():
+    # whole frames from one reshape, the last partial frame apart
+    rng = np.random.default_rng(17)
+    for n, rate in ((44100, 44100), (8001, 8000), (8000, 8000), (150, 8000),
+                    (199, 8000), (30011, 22050)):
+        level = np.repeat(rng.uniform(0.0, 1.0, n // 97 + 1) ** 4, 97)[:n]
+        sig = AudioSignal(rng.standard_normal(n) * level, rate)
+        for frame_ms, db in ((25.0, 35.0), (10.5, 10.0), (0.01, 60.0),
+                             (1000.0 * n / rate * 0.999, 35.0)):
+            got = trim_nonspeech(sig, frame_ms, db).samples
+            want = _trim_frame_by_frame(sig, frame_ms, db)
+            assert got.view(np.uint64).tolist() == \
+                want.view(np.uint64).tolist()
+
+
+def test_trim_frame_longer_than_the_signal_is_one_frame():
+    sig = _tone(440.0, 0.2)
+    # 1e308 ms of samples is past a float
+    for frame_ms in (200.0, 1e6, 1e308):
+        out = trim_nonspeech(sig, frame_ms=frame_ms)
+        assert np.array_equal(out.samples, sig.samples)
+    with pytest.raises(ValueError, match="no speech"):
+        trim_nonspeech(AudioSignal(np.zeros(100), SR), frame_ms=1e308)
 
 
 # --- spectrogram -------------------------------------------------------------
@@ -425,6 +552,25 @@ def test_triangle_response_exact_center():
     assert triangle_response(np.array([100.0]), 50.0, 100.0, 300.0)[0] == 1.0
     assert triangle_response(np.array([50.0, 300.0]), 50.0, 100.0,
                              300.0).tolist() == [0.0, 0.0]
+
+
+def test_front_end_constants_kept_read_only():
+    spec = stft(_tone(440.0, 0.5))
+    w = audio._hann(256)
+    assert w is audio._hann(256) and not w.flags.writeable
+    assert w.tobytes() == hann_window(256).tobytes()
+    want, centers = mel_filterbank(26, SR, spec.bin_freqs)
+    for _ in range(2):    # the second call reads the kept weights
+        mel = mel_spectrogram(spec)
+        assert list(mel) == [f"mel_{int(round(c))}" for c in centers]
+        assert np.vstack(list(mel.values())).tobytes() == \
+            (want @ spec.magnitudes).tobytes()
+    weights, _ = audio._mel_bank(26, SR, spec.bin_freqs.tobytes())
+    assert not weights.flags.writeable
+    # a collision is not kept: every call raises it again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="Mel centers collide"):
+            mel_spectrogram(spec, n_filters=3000)
 
 
 def test_mel_names_and_zero_input():

@@ -678,6 +678,21 @@ def test_non_finite_config_value_is_config_error(tmp_path, capsys, line):
     assert not (tmp_path / "out").exists()
 
 
+def test_trim_frame_longer_than_every_clip_keeps_them_whole(tmp_path):
+    # 1e308 ms of samples overflows a float: the frame is the whole clip
+    manifest = _make_corpus(tmp_path / "wav", n_per_class=2)
+    cubes = []
+    for sub, lines in (("a", ["trim=true", "trim_frame_ms=1e308"]),
+                       ("b", [])):
+        out = tmp_path / sub
+        cfg = _write_config(tmp_path / f"{sub}.cfg", out, lines)
+        rc = cli.main(["featurize", "--config", str(cfg), str(manifest),
+                       "--jobs", "1"])
+        assert rc == 0
+        cubes.append((out / "features.cube").read_bytes())
+    assert cubes[0] == cubes[1]
+
+
 @pytest.mark.parametrize("lines, error", [
     # stft needs two samples a window, the Mel filterbank two filters
     (["window_len=1"], "window_len must be at least 2"),
