@@ -334,7 +334,7 @@ def cmd_featurize(args, cfg):
 
     # The workers are forked: import what they need here, once, rather
     # than in every worker.
-    needed = ["scipy.fft", "scipy.io.wavfile"]
+    needed = ["scipy.fft"]
     if cfg.bandpass_low is not None:
         needed.append("scipy.signal")
     for module in needed:

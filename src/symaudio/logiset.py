@@ -101,15 +101,9 @@ def _length_features(rows, windows):
 
     # A max or min across the rows is the one along the points, up to which
     # of two equal zeros it keeps; numpy's choice there depends on the width
-    # of its vector loop, so a zero result is taken again along its
-    # window's points, as a series alone is reduced.
-    hi = rows.max(axis=0)
-    lo = rows.min(axis=0)
-    n = windows.shape[0]
-    for ext, reduce in ((hi, np.max), (lo, np.min)):
-        zero = np.flatnonzero(ext == 0.0)
-        if zero.size:
-            ext[zero] = reduce(windows[zero % n, zero // n], axis=-1)
+    # of its vector loop.
+    hi = _zeros_along_points(rows.max(axis=0), windows, np.max)
+    lo = _zeros_along_points(rows.min(axis=0), windows, np.min)
 
     def along_points(fn, **kwargs):
         # numpy adds fewer than 8 numbers one by one, so there a mean or std
@@ -124,7 +118,7 @@ def _length_features(rows, windows):
     feats[FN_INDEX["max"]] = hi
     feats[FN_INDEX["min"]] = lo
     feats[FN_INDEX["mean"]] = mean
-    feats[FN_INDEX["median"]] = np.median(rows, axis=0)
+    feats[FN_INDEX["median"]] = _median(rows, windows)
     if L == 1:
         feats[FN_INDEX["std"]:] = 0.0
         return feats
@@ -135,6 +129,17 @@ def _length_features(rows, windows):
     feats[FN_INDEX["stretch_high"]] = _longest_runs(rows > mean)
     feats[FN_INDEX["stretch_decr"]] = _longest_runs(rows[1:] - rows[:-1] < 0.0)
     return feats
+
+
+def _zeros_along_points(values, windows, reduce):
+    # each zero in values taken again by reduce along its window's points,
+    # as a series alone is reduced, where the sign of a zero found across
+    # the rows may differ
+    zero = np.flatnonzero(values == 0.0)
+    if zero.size:
+        n = windows.shape[0]
+        values[zero] = reduce(windows[zero % n, zero // n], axis=-1)
+    return values
 
 
 def _pair_counts(rows, lo, hi):
@@ -186,13 +191,48 @@ def _pair_entropy(counts, n_pairs):
 
 
 def _transition_variance(counts):
-    # variance of the 9 transition probability entries of each lane,
-    # taken along the lane's contiguous entries; rows with no outgoing
-    # transitions stay all zero
-    probs = np.ascontiguousarray(counts.T, dtype=np.float64)
-    c = probs.reshape(-1, 3, 3)
-    c /= np.maximum(c[:, :, 0] + c[:, :, 1] + c[:, :, 2], 1.0)[:, :, None]
-    return probs.var(axis=-1)
+    # variance of the 9 transition probability entries of each lane, in
+    # numpy's order along 9 contiguous entries: eight pairwise, then the
+    # ninth; rows with no outgoing transitions stay all zero
+    c = counts.astype(np.float64)
+    rows = c.reshape(3, 3, -1)
+    rows /= np.maximum(rows[:, 0] + rows[:, 1] + rows[:, 2], 1.0)[:, None]
+    c -= _sum9(c) / 9
+    c *= c
+    return _sum9(c) / 9
+
+
+def _sum9(c):
+    return (((c[0] + c[1]) + (c[2] + c[3])) +
+            ((c[4] + c[5]) + (c[6] + c[7]))) + c[8]
+
+
+def _median(rows, windows):
+    # Up to 5 points, the median by compare-exchange across the rows.  It
+    # keeps the value numpy picks up to the sign of a zero (np.median turns
+    # even a single -0.0 into 0.0).
+    L = rows.shape[0]
+    if L > 5:
+        return np.median(rows, axis=0)
+    if L == 1:
+        med = rows[0].copy()
+    elif L == 2:
+        med = (rows[0] + rows[1]) / 2
+    else:
+        lo = np.minimum(rows[0], rows[1])
+        hi = np.maximum(rows[0], rows[1])
+        if L == 3:
+            med = np.maximum(lo, np.minimum(hi, rows[2]))
+        else:
+            # the middle two of four points
+            lo = np.maximum(lo, np.minimum(rows[2], rows[3]))
+            hi = np.minimum(hi, np.maximum(rows[2], rows[3]))
+            if L == 4:
+                med = (lo + hi) / 2
+            else:
+                med = np.maximum(np.minimum(lo, hi), np.minimum(
+                    np.maximum(lo, hi), rows[4]))
+    return _zeros_along_points(med, windows, np.median)
 
 
 def _longest_runs(mask):

@@ -1,7 +1,10 @@
 """WAV decoding, DSP front end, and feature cube assembly."""
+import io
 import math
+import struct
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -76,6 +79,178 @@ def test_decode_errors(tmp_path):
         decode_wav(junk)
     with pytest.raises(FileNotFoundError):
         decode_wav(tmp_path / "missing.wav")
+
+
+# WAV files written byte by byte: (format tag, bytes per sample, bits, and
+# the range of the integers written) per sample kind
+_KINDS = {"u8": (1, 1, 8, 0, 255), "s16": (1, 2, 16, -2 ** 15, 2 ** 15 - 1),
+          "s24": (1, 3, 24, -2 ** 23, 2 ** 23 - 1),
+          "s32": (1, 4, 32, -2 ** 31, 2 ** 31 - 1),
+          "f32": (3, 4, 32, -1, 1), "f64": (3, 8, 64, -1, 1)}
+
+
+def _chunk(cid, body, order="<", size=None):
+    size = len(body) if size is None else size
+    return cid + struct.pack(order + "I", size) + body + b"\0" * (len(body) % 2)
+
+
+def _fmt(order, tag, channels, width, bits, extensible=False):
+    body = struct.pack(order + "HHIIHH", 0xFFFE if extensible else tag,
+                       channels, SR, SR * channels * width, channels * width,
+                       bits)
+    if extensible:
+        # cbSize, valid bits, channel mask, then the sub-format GUID, whose
+        # first three fields are in the file's byte order
+        body += struct.pack(order + "HHIIHH", 22, bits, 0, tag, 0, 0x10)
+        body += b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return _chunk(b"fmt ", body, order)
+
+
+def _wave(chunks, order="<", magic=None):
+    body = b"WAVE" + b"".join(chunks)
+    magic = magic or (b"RIFF" if order == "<" else b"RIFX")
+    return magic + struct.pack(order + "I", len(body)) + body
+
+
+def _pack(order, kind, values):
+    if kind == "s24":
+        four = [struct.pack(order + "i", v) for v in values]
+        return b"".join(b[:3] if order == "<" else b[1:] for b in four)
+    code = {"u8": "B", "s16": "h", "s32": "i", "f32": "f", "f64": "d"}[kind]
+    return struct.pack(f"{order}{len(values)}{code}", *values)
+
+
+def _written(kind, channels, rng, frames=6):
+    # the values a file holds, the samples scipy.io.wavfile gives for them
+    # (24-bit left-justified in int32), and decode_wav's mono signal
+    tag, _, _, lo, hi = _KINDS[kind]
+    if tag == 3:
+        values = rng.uniform(lo, hi, (frames, channels)).astype(
+            np.float32 if kind == "f32" else np.float64)
+        raw, mono = values, values.astype(np.float64).mean(axis=1)
+    else:
+        values = rng.integers(lo, hi, (frames, channels), endpoint=True)
+        values[0, 0], values[-1, -1] = lo, hi
+        mean = values.astype(np.float64).mean(axis=1)
+        raw, mono = {
+            "u8": (values.astype(np.uint8), (mean - 128.0) / 128.0),
+            "s16": (values.astype(np.int16), mean / 2.0 ** 15),
+            "s24": ((values * 256).astype(np.int32), mean / 2.0 ** 23),
+            "s32": (values.astype(np.int32), mean / 2.0 ** 31)}[kind]
+    return values, (raw if channels > 1 else raw[:, 0]), mono
+
+
+def _scipy_read(blob):
+    # scipy.io.wavfile's reading in native byte order, or None if it fails
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rate, data = wavfile.read(io.BytesIO(blob))
+    except ValueError:
+        return None
+    return rate, data.astype(data.dtype.newbyteorder("="))
+
+
+def _assert_reads(tmp_path, blob, raw, mono):
+    rate, got = audio._read_wav(blob)
+    assert rate == SR and got.dtype == raw.dtype and got.shape == raw.shape
+    assert got.tobytes() == raw.tobytes()
+    path = tmp_path / "crafted.wav"
+    path.write_bytes(blob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sig = decode_wav(path)
+    assert sig.sample_rate == SR and sig.samples.tobytes() == mono.tobytes()
+    return got
+
+
+@pytest.mark.parametrize("order", ["<", ">"])
+@pytest.mark.parametrize("extensible", [False, True])
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("kind", sorted(_KINDS))
+def test_decode_formats_bit_for_bit(tmp_path, kind, channels, extensible,
+                                    order):
+    # RIFF and RIFX, plain and WAVE_FORMAT_EXTENSIBLE headers, an odd-sized
+    # LIST chunk and its pad byte before the data; the expected samples come
+    # from the integers written, and match scipy's wherever it reads the file
+    tag, width, bits = _KINDS[kind][:3]
+    values, raw, mono = _written(kind, channels, np.random.default_rng(
+        [sorted(_KINDS).index(kind), channels, extensible, order == "<"]))
+    blob = _wave([_fmt(order, tag, channels, width, bits, extensible),
+                  _chunk(b"LIST", b"INFOodd", order),
+                  _chunk(b"data", _pack(order, kind, values.ravel().tolist()),
+                         order)], order)
+    got = _assert_reads(tmp_path, blob, raw, mono)
+    old = _scipy_read(blob)
+    if order == "<" and not extensible:
+        assert old is not None
+    if old is not None:
+        assert old[0] == SR and old[1].dtype == got.dtype
+        assert old[1].shape == got.shape
+        assert old[1].tobytes() == got.tobytes()
+
+
+def test_decode_reads_the_whole_frames_of_a_ragged_data_chunk(tmp_path):
+    # 4 stereo 16-bit frames and 3 bytes more (so a pad byte), then a chunk
+    # the reader skips
+    values, raw, mono = _written("s16", 2, np.random.default_rng(1), 4)
+    data = _pack("<", "s16", values.ravel().tolist()) + b"\x01\x02\x03"
+    blob = _wave([_fmt("<", 1, 2, 2, 16), _chunk(b"data", data),
+                  _chunk(b"LIST", b"INFO")])
+    _assert_reads(tmp_path, blob, raw, mono)
+
+
+@pytest.mark.parametrize("claim", [2 ** 20, 0xFFFFFFF0])
+def test_decode_reads_an_overclaimed_data_chunk_without_warning(tmp_path,
+                                                                claim):
+    # a recording cut short: its data chunk and RIFF size claim more bytes
+    # than the file holds, and the last frame is cut too
+    values, raw, mono = _written("s24", 2, np.random.default_rng(2), 5)
+    data = _pack("<", "s24", values.ravel().tolist()) + b"\x07\x08"
+    blob = bytearray(_wave([_fmt("<", 1, 2, 3, 24),
+                            _chunk(b"data", data, size=claim)]))
+    blob[4:8] = struct.pack("<I", min(claim + 36, 0xFFFFFFFF))
+    _assert_reads(tmp_path, bytes(blob), raw, mono)
+    old = _scipy_read(bytes(blob)[:-2])
+    if old is not None:
+        assert old[1].tobytes() == raw.tobytes()
+
+
+def test_decode_rf64_stops_at_the_data_size_in_ds64(tmp_path):
+    # RF64's data chunk says 0xFFFFFFFF; its size is in the ds64 chunk, and
+    # a chunk after the data is not read as samples
+    values, raw, mono = _written("s16", 1, np.random.default_rng(3), 7)
+    data = _pack("<", "s16", values.ravel().tolist())
+    ds64 = struct.pack("<QQQI", 0xFFFFFFFF, len(data), len(values), 0)
+    blob = _wave([_chunk(b"ds64", ds64), _fmt("<", 1, 1, 2, 16),
+                  _chunk(b"data", data, size=0xFFFFFFFF),
+                  _chunk(b"LIST", b"INFOtail")], magic=b"RF64")
+    blob = blob[:4] + struct.pack("<I", 0xFFFFFFFF) + blob[8:]
+    _assert_reads(tmp_path, blob, raw, mono)
+    old = _scipy_read(blob)
+    if old is not None:
+        assert old[1].tobytes() == raw.tobytes()
+
+
+def _malformed():
+    data = _chunk(b"data", _pack("<", "s16", [1, -1, 2, -2]))
+    good = _wave([_fmt("<", 1, 1, 2, 16), data])
+    return {"no fmt chunk": _wave([data]),
+            "data before fmt": _wave([data, _fmt("<", 1, 1, 2, 16)]),
+            "mu-law": _wave([_fmt("<", 7, 1, 1, 8), data]),
+            "float of 16 bits": _wave([_fmt("<", 3, 1, 2, 16), data]),
+            "no channels": _wave([_fmt("<", 1, 0, 2, 16), data]),
+            "header cut in fmt": good[:24],
+            "header cut in RIFF": good[:10],
+            "RIFF form not WAVE": good[:8] + b"AVI " + good[12:]}
+
+
+@pytest.mark.parametrize("case", sorted(_malformed()))
+def test_decode_rejects_malformed_headers(tmp_path, case):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(_malformed()[case])
+    with pytest.raises(AudioDecodeError, match="unreadable WAV file"):
+        decode_wav(path)
 
 
 # --- resampling and filtering ------------------------------------------------

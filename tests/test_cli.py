@@ -816,6 +816,43 @@ print(json.dumps(seen))
                     "rules": [0]}
 
 
+def _scipy_loaded_by(script):
+    # scipy and the scipy subpackages a fresh interpreter holds after script
+    script += """
+import json, sys
+print(json.dumps(sorted({".".join(m.split(".")[:2]) for m in sys.modules
+                         if m.split(".")[0] == "scipy"})))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert _scipy_loaded_by("import symaudio.cli") == []
+
+
+def test_featurize_without_bandpass_loads_scipy_fft_alone(tmp_path):
+    # WAV files are read without scipy.io, and scipy.signal is loaded only
+    # for a band-pass
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    _tone_wav(wavs / "a.wav", 440)
+    _tone_wav(wavs / "b.wav", 1500)
+    manifest = wavs / "manifest.csv"
+    manifest.write_text("a.wav,lo\nb.wav,hi\n", encoding="utf-8")
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    loaded = _scipy_loaded_by(f"""
+from symaudio import cli
+assert cli.main(["featurize", {str(manifest)!r}, "--config", {str(cfg)!r},
+                 "--jobs", "2"]) == 0
+""")
+    assert "scipy.fft" in loaded
+    assert not {"scipy.io", "scipy.sparse", "scipy.signal"} & set(loaded)
+
+
 def test_benchmark_trace_hooks_resolve():
     # the benchmark's span recorder wraps these functions by name; one that
     # no longer resolves is skipped there and its metric silently reads 0

@@ -131,6 +131,37 @@ def _pair_rich(rng, m, n, T):
     return base * rng.uniform(0.5, 2.0, (m, n, 1))
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5, 6])
+def test_median_across_rows_keeps_np_median_bits(L):
+    # signed zeros, ties, opposite values, infinities and sums that overflow
+    # in windows of L points, laid out as the kernel lays them: lane (s, q)
+    # holds window s of series q
+    rng = np.random.default_rng(L)
+    levels = [-np.inf, -1e308, -1.5, -1.0, -0.0, 0.0, 1.0, 1.5, 1e308, np.inf]
+    windows = rng.choice(levels, size=(3, 500, L))
+    rows = np.ascontiguousarray(windows.transpose(2, 1, 0)).reshape(L, -1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = logiset._median(rows, windows)
+        want = np.median(windows, axis=-1).T.reshape(-1)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    real = ~np.isnan(want)
+    assert _same_bits(got[real], want[real])
+
+
+def test_transition_variance_keeps_np_var_bits():
+    # the lane-wise sums against np.var along each lane's 9 contiguous
+    # entries, with empty rows and lanes
+    rng = np.random.default_rng(0)
+    counts = rng.integers(0, 6, (9, 3000))
+    counts[:, :20] = 0
+    counts[rng.integers(0, 9, 500), rng.integers(0, 3000, 500)] = 0
+    probs = np.ascontiguousarray(counts.T, dtype=np.float64)
+    rows = probs.reshape(-1, 3, 3)
+    rows /= np.maximum(rows.sum(axis=-1), 1.0)[:, :, None]
+    want = probs.var(axis=-1)
+    assert _same_bits(logiset._transition_variance(counts), want)
+
+
 @pytest.mark.parametrize("mode", ["modal", "propositional"])
 @pytest.mark.parametrize("T", [2, 3, 5, 8, 9, 12, 20])
 def test_table_matches_scalar_reference_bitwise(mode, T):
