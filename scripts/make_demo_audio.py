@@ -7,9 +7,9 @@ so spectral features separate them while staying non-trivial.
 """
 import argparse
 import os
+import wave
 
 import numpy as np
-from scipy.io import wavfile
 
 
 def synth_clip(rng, band, seconds, rate):
@@ -26,6 +26,16 @@ def synth_clip(rng, band, seconds, rate):
     return (x * 32767).astype(np.int16)
 
 
+def _write_wav(path, rate, pcm):
+    # 16-bit mono PCM with the standard library, so that a process that
+    # writes the demo clips and then featurizes them loads no scipy.io
+    with wave.open(path, "wb") as fh:
+        fh.setnchannels(1)
+        fh.setsampwidth(2)
+        fh.setframerate(rate)
+        fh.writeframes(pcm.tobytes())
+
+
 def generate(out_dir, n_per_class=12, seconds=1.0, rate=8000, seed=0):
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
@@ -33,8 +43,8 @@ def generate(out_dir, n_per_class=12, seconds=1.0, rate=8000, seed=0):
     for band in ("lowband", "highband"):
         for i in range(n_per_class):
             name = f"{band}_{i:02d}.wav"
-            wavfile.write(os.path.join(out_dir, name), rate,
-                          synth_clip(rng, band, seconds, rate))
+            _write_wav(os.path.join(out_dir, name), rate,
+                       synth_clip(rng, band, seconds, rate))
             rows.append((name, band))
     manifest = os.path.join(out_dir, "manifest.csv")
     with open(manifest, "w", encoding="utf-8") as fh:

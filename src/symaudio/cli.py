@@ -237,40 +237,13 @@ def _feat_one(job):
         return ("error", str(e))
 
 
-class _RemoteTraceback(Exception):
-    """A worker's traceback, chained as the cause of the error it raised."""
-
-    def __str__(self):
-        return self.args[0]
-
-
-class _Worker:
-    """A forked featurize process and this process's end of its pipe; busy
-    from sending it a batch until its reply is read."""
-
-    def __init__(self, conn, proc):
-        self.conn, self.proc, self.busy = conn, proc, False
-
-    def reply(self):
-        try:
-            exc, payload = self.conn.recv()
-        except (EOFError, OSError):   # the worker is gone
-            self.proc.join()
-            raise RuntimeError(f"featurize worker {self.proc.pid} ended "
-                               f"with exit code {self.proc.exitcode}") \
-                from None
-        self.busy = False
-        if exc is not None:
-            raise exc from _RemoteTraceback(payload)
-        return payload
-
-
-def _serve(conn, inherited):
-    """A worker's loop: run each batch (fn, jobs) and reply (None, results),
-    or (error, traceback) when a job raises, until the pipe closes."""
-    # Copies of other pipes' parent ends would keep those pipes open after
-    # this process closes them.
-    for c in inherited:
+def _serve(conn, parent_ends):
+    """A worker's loop: run each batch (fn, jobs) and reply ("ok", results),
+    or ("fault", traceback text) when a job raises."""
+    # Copies of the parent's pipe ends would keep the pipes open after the
+    # parent dies unstopped (SIGTERM, SIGKILL); closed, a worker then reads
+    # end-of-file or fails to send, and ends.
+    for c in parent_ends:
         c.close()
     while True:
         try:
@@ -278,29 +251,42 @@ def _serve(conn, inherited):
         except EOFError:
             return
         try:
-            reply = (None, [fn(j) for j in jobs])
-        except Exception as e:
-            reply = (e, traceback.format_exc())
+            reply = ("ok", [fn(j) for j in jobs])
+        except Exception:
+            reply = ("fault", traceback.format_exc())
         conn.send(reply)
 
 
+def _reply(conn, proc):
+    """The results of the batch sent to worker proc; a job's fault, or the
+    worker's end without a reply, is a RuntimeError naming the worker."""
+    try:
+        kind, payload = conn.recv()
+    except (EOFError, OSError):   # the worker is gone
+        proc.join()
+        raise RuntimeError(f"featurize worker {proc.pid} ended with exit "
+                           f"code {proc.exitcode}") from None
+    if kind == "fault":
+        raise RuntimeError(f"featurize worker {proc.pid} failed:\n{payload}")
+    return payload
+
+
 def _stop_workers(workers):
-    """End and reap every worker: a busy one is killed, an idle one reads
-    end-of-file and returns."""
-    for w in workers:
-        if w.busy:
-            w.proc.kill()
-        w.conn.close()
-    for w in workers:
-        w.proc.join()
+    """Kill and reap every worker, busy or idle; all are killed before the
+    first is reaped, so that they end side by side."""
+    for conn, proc in workers:
+        proc.kill()
+        conn.close()
+    for _, proc in workers:
+        proc.join()
 
 
 def _map_jobs(fn, jobs, n_workers, workers):
     # [fn(job) for job in jobs].  A job's first item is its manifest row i;
     # worker i % n_workers runs it, so a row's second job finds the clip its
     # first one kept.  The first call forks the workers into the empty list
-    # `workers`; one worker means this process.  Each worker gets its jobs
-    # in one message and replies in one.
+    # `workers` as (pipe end, process) pairs; one worker means this process.
+    # Each worker gets its jobs in one message and replies in one.
     if n_workers == 1:
         return [fn(j) for j in jobs]
     if not workers:
@@ -308,20 +294,19 @@ def _map_jobs(fn, jobs, n_workers, workers):
         for _ in range(n_workers):
             conn, child = ctx.Pipe()
             proc = ctx.Process(target=_serve, daemon=True, args=(
-                child, [w.conn for w in workers] + [conn]))
+                child, [c for c, _ in workers] + [conn]))
             proc.start()
             child.close()
-            workers.append(_Worker(conn, proc))
+            workers.append((conn, proc))
     shares = [[] for _ in workers]
     for job in jobs:
         shares[job[0] % n_workers].append(job)
-    for w, share in zip(workers, shares):
-        with contextlib.suppress(OSError):   # w.reply() says what went wrong
-            w.conn.send((fn, share))
-        w.busy = True
+    for (conn, _), share in zip(workers, shares):
+        with contextlib.suppress(OSError):   # _reply says what went wrong
+            conn.send((fn, share))
     results = {}
-    for w, share in zip(workers, shares):
-        results.update(zip((job[0] for job in share), w.reply()))
+    for (conn, proc), share in zip(workers, shares):
+        results.update(zip((job[0] for job in share), _reply(conn, proc)))
     return [results[job[0]] for job in jobs]
 
 

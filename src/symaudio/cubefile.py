@@ -53,6 +53,15 @@ def _pack_str(s):
     return struct.pack("<I", len(raw)) + raw
 
 
+def _record(n, T):
+    """The dtype of one instance record: its label id, then its n*T values.
+    numpy sizes a dtype and its dimensions in C ints."""
+    if max(n, T, 4 + 8 * n * T) > np.iinfo(np.intc).max:
+        raise CubeFileError(f"instances of {n} x {T} values are too large "
+                            f"for a cube file")
+    return np.dtype([("label", "<u4"), ("values", "<f8", (n, T))])
+
+
 def write_cube_file(path, attr_names, classes, values, labels):
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 3:
@@ -79,9 +88,10 @@ def write_cube_file(path, attr_names, classes, values, labels):
     parts.extend(_pack_str(name) for name in attr_names)
     parts.append(struct.pack("<I", len(classes)))
     parts.extend(_pack_str(c) for c in classes)
-    for i in range(m):
-        parts.append(struct.pack("<I", labels[i]))
-        parts.append(np.ascontiguousarray(values[i], dtype="<f8").tobytes())
+    records = np.empty(m, dtype=_record(n, T))
+    records["label"] = labels
+    records["values"] = values
+    parts.append(records.tobytes())
     body = b"".join(parts)
     atomic_write(path, body + struct.pack("<I", zlib.crc32(body)))
 
@@ -125,17 +135,17 @@ def load_cube_file(path):
     classes = tuple(cur.string() for _ in range(n_classes))
     # the counts come from the file: check them against its length before
     # allocating, so a crafted header cannot demand an unbounded array
-    if m * (4 + 8 * n * T) > len(cur.data) - cur.pos:
+    record = _record(n, T)
+    if m * record.itemsize > len(cur.data) - cur.pos:
         raise CubeFileError("cube file is truncated")
-    values = np.empty((m, n, T), dtype=np.float64)
-    labels = []
-    for i in range(m):
-        lab = cur.u32()
-        if lab >= n_classes:
-            raise CubeFileError(f"label id {lab} outside the class vocabulary")
-        labels.append(lab)
-        raw = cur.take(8 * n * T)
-        values[i] = np.frombuffer(raw, dtype="<f8").reshape(n, T)
+    records = np.frombuffer(cur.data, dtype=record, count=m, offset=cur.pos)
+    cur.pos += m * record.itemsize
+    labels = records["label"]
+    bad = np.flatnonzero(labels >= n_classes)
+    if bad.size:
+        raise CubeFileError(f"label id {labels[bad[0]]} outside the class "
+                            f"vocabulary")
+    values = records["values"].astype(np.float64)
     if cur.pos != len(cur.data):
         raise CubeFileError("cube file has trailing bytes")
     if len(set(attr_names)) != n:
@@ -145,4 +155,4 @@ def load_cube_file(path):
     if not np.all(np.isfinite(values)):
         raise CubeFileError("cube file holds non-finite values")
     return CubeFile(attr_names=attr_names, classes=classes, values=values,
-                    labels=labels)
+                    labels=labels.tolist())

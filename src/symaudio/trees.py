@@ -86,6 +86,12 @@ class LearnParams:
         for fn in self.functions:
             if fn not in FEATURE_FNS:
                 raise ValueError(f"bad feature function {fn!r} in params")
+        # a name given twice would be searched twice at every node
+        for kind, names in (("relation", self.relations),
+                            ("feature function", self.functions)):
+            if len(set(names)) != len(names):
+                raise ValueError(f"params name a {kind} twice: "
+                                 f"{list(names)}")
         if not (isinstance(self.n_trees, Integral) and self.n_trees >= 1):
             raise ValueError(f"bad n_trees {self.n_trees!r} in params")
         if not seed or \

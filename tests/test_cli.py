@@ -11,6 +11,8 @@ import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 import zlib
 from multiprocessing.connection import Connection
 
@@ -490,6 +492,35 @@ def test_featurize_worker_fault_is_internal_error(tmp_path, monkeypatch,
     _no_children_left()
 
 
+class _LockedError(RuntimeError):
+    """An exception that pickle cannot carry: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def test_featurize_unpicklable_worker_fault_keeps_its_traceback(
+        tmp_path, monkeypatch, capsys):
+    # the worker's traceback crosses the pipe as text, so a fault whose
+    # exception cannot be pickled still shows where it came from
+    def broken(*args, **kwargs):
+        raise _LockedError("fault holding a lock")
+
+    monkeypatch.setattr(cli, "featurize_signal", broken)
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                   "--jobs", "2"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "_LockedError: fault holding a lock" in err
+    assert "in _feat_one" in err and "in broken" in err
+    assert "cannot pickle" not in err
+    assert not (tmp_path / "out" / "features.cube").exists()
+    _no_children_left()
+
+
 def test_featurize_killed_worker_is_internal_error(tmp_path, monkeypatch,
                                                    capsys):
     # a worker that dies inside a job ends the command with exit 3, not a
@@ -508,6 +539,69 @@ def test_featurize_killed_worker_is_internal_error(tmp_path, monkeypatch,
     assert rc == 3
     assert "exit code -9" in capsys.readouterr().err
     _no_children_left()
+
+
+def _running(pid):
+    # a process that has not ended; a zombie has ended
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="needs /proc to see processes")
+def test_featurize_workers_end_with_a_killed_parent(tmp_path):
+    # a featurize killed by a signal cannot stop its workers: each must find
+    # its pipe closed and end, whether it is busy or waiting for a batch
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    for i in range(3):
+        _tone_wav(wavs / f"t{i}.wav", 400 + 700 * (i % 2))
+    manifest = wavs / "manifest.csv"
+    manifest.write_text("t0.wav,a\nt1.wav,b\nt2.wav,a\n", encoding="utf-8")
+    pids = tmp_path / "pids"
+    script = f"""
+import os, time
+from symaudio import cli
+featurize_signal = cli.featurize_signal
+def slow(*args, **kwargs):
+    with open({str(pids)!r}, "a") as fh:
+        fh.write(f"{{os.getpid()}}\\n")
+    time.sleep(0.5)
+    return featurize_signal(*args, **kwargs)
+cli.featurize_signal = slow
+cli.main(["featurize", {str(manifest)!r}, "--out", {str(tmp_path / "out")!r},
+          "--jobs", "2"])
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", script],
+                            stderr=subprocess.DEVNULL,
+                            env=dict(os.environ, PYTHONPATH=src))
+    workers = set()
+    try:
+        while len(workers) < 2:
+            assert proc.poll() is None
+            time.sleep(0.05)
+            if pids.exists():
+                workers = {int(p) for p in pids.read_text().split()}
+        # worker 1 has one row and waits for the next batch; worker 0 is
+        # busy with its second
+        time.sleep(0.7)
+        proc.kill()
+        proc.wait()
+        for _ in range(100):
+            if not any(_running(pid) for pid in workers):
+                break
+            time.sleep(0.1)
+        assert [pid for pid in workers if _running(pid)] == []
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_featurize_without_manifest_is_config_error(tmp_path, capsys):
@@ -712,7 +806,7 @@ def test_config_every_clip_would_fail_is_config_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("line", [
-    "relations=L,Q", "min_gain=-1", "attr_frac=1.5"])
+    "relations=L,Q", "relations=L,L,G", "min_gain=-1", "attr_frac=1.5"])
 def test_bad_learner_setting_is_config_error(workspace, capsys, line):
     # LearnParams rejects these; the command still reports a config error
     cfg = _write_config(workspace["base"] / "bad.cfg", workspace["out"],
@@ -851,6 +945,24 @@ assert cli.main(["featurize", {str(manifest)!r}, "--config", {str(cfg)!r},
 """)
     assert "scipy.fft" in loaded
     assert not {"scipy.io", "scipy.sparse", "scipy.signal"} & set(loaded)
+
+
+def test_readme_demo_featurize_loads_no_scipy_io(tmp_path):
+    # the README demo writes its clips and featurizes them in one process
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                          "make_demo_audio.py")
+    loaded = _scipy_loaded_by(f"""
+import importlib.util
+spec = importlib.util.spec_from_file_location("make_demo_audio", {script!r})
+demo = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(demo)
+_, cfg = demo.generate({str(tmp_path / "data")!r}, n_per_class=2)
+from symaudio import cli
+assert cli.main(["featurize", "--config", cfg, "--out",
+                 {str(tmp_path / "out")!r}, "--jobs", "2"]) == 0
+""")
+    assert "scipy.fft" in loaded
+    assert not {"scipy.io", "scipy.sparse"} & set(loaded)
 
 
 def test_benchmark_trace_hooks_resolve():

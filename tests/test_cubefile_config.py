@@ -83,6 +83,56 @@ def test_cube_detects_truncation_and_trailing_bytes(tmp_path):
         load_cube_file(path)
 
 
+def _packed_cube(names, classes, values, labels):
+    """The cube file layout of the module docstring, packed field by field."""
+    def text(s):
+        raw = s.encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    body = b"MTSD1" + struct.pack("<III", *values.shape)
+    body += b"".join(text(name) for name in names)
+    body += struct.pack("<I", len(classes))
+    body += b"".join(text(c) for c in classes)
+    for label, series in zip(labels, values):
+        body += struct.pack("<I", label) + series.astype("<f8").tobytes()
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@pytest.mark.parametrize("shape", [(3, 4, 5), (0, 4, 5), (3, 0, 5),
+                                   (3, 4, 0), (1, 1, 1)])
+def test_cube_bytes_follow_the_documented_layout(tmp_path, shape):
+    rng = np.random.default_rng(4)
+    m, n, _ = shape
+    names = tuple(f"attr_{i}" for i in range(n))
+    classes = ("quiet", "loud", "silence")
+    values = rng.normal(size=shape)
+    labels = [int(l) for l in rng.integers(0, 3, size=m)]
+    path = tmp_path / "x.cube"
+    write_cube_file(path, names, classes, values, labels)
+    raw = _packed_cube(names, classes, values, labels)
+    assert path.read_bytes() == raw
+    cf = load_cube_file(path)
+    assert cf.labels == labels and all(type(l) is int for l in cf.labels)
+    assert cf.values.shape == shape and cf.values.flags.c_contiguous
+    assert cf.values.tobytes() == values.tobytes()
+    # labels are checked in file order: the first one out of range is named
+    if m == 3:
+        path.write_bytes(_packed_cube(names, classes, values, [0, 7, 5]))
+        with pytest.raises(CubeFileError, match="label id 7 outside"):
+            load_cube_file(path)
+
+
+def test_cube_of_oversized_instances_is_rejected(tmp_path):
+    # no instances, but each would hold 2^32 - 1 values: numpy cannot shape
+    # one record of them
+    body = b"MTSD1" + struct.pack("<III", 0, 1, 2 ** 32 - 1)
+    body += struct.pack("<I", 1) + b"a" + struct.pack("<I", 0)
+    path = tmp_path / "x.cube"
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(CubeFileError, match="too large"):
+        load_cube_file(path)
+
+
 @lru_cache(maxsize=None)
 def _small_cube_bytes():
     # names and classes make up most of the bytes, so most mutations land

@@ -105,6 +105,11 @@ def test_learn_params_validation():
         LearnParams(min_gain=-0.1)
     with pytest.raises(ValueError):
         LearnParams(functions=("max", "sum"))
+    # a name given twice would be searched twice at every node
+    with pytest.raises(ValueError, match="relation twice"):
+        LearnParams(relations=("L", "L", "G"))
+    with pytest.raises(ValueError, match="feature function twice"):
+        LearnParams(functions=("max", "min", "max"))
     # bool is an Integral, but no boolean is a count, a seed or a fraction;
     # nor is a string, which compares as a TypeError
     for bad in [{"n_trees": True}, {"seed": True}, {"seed": (1, False)},
@@ -692,6 +697,16 @@ def _repeat_first_name(names, rename):
     return mutate
 
 
+def _name_first_param_twice(key):
+    """A mutation that appends the first name of the params list key once
+    more, so that the repeat is all that is wrong."""
+    def mutate(doc):
+        names = doc["params"][key]
+        names.append(names[0])
+        return doc
+    return mutate
+
+
 def _rename_leaf(node, name):
     if "leaf" in node:
         node["leaf"] = name
@@ -746,6 +761,8 @@ MALFORMED_MODELS = {
     "boolean min_gain": _edit(("params", "min_gain"), False),
     "bad params mode": _edit(("params", "mode"), "sideways"),
     "unknown params key": _edit(("params", "max_depth"), 3),
+    "params repeat a relation": _name_first_param_twice("relations"),
+    "params repeat a function": _name_first_param_twice("functions"),
     "relation Q": _edit(ROOT + ("relation",), "Q"),
     "relation L at the modal root": _edit(ROOT + ("relation",), "L"),
     "function nope": _edit(ROOT + ("fn",), "nope"),
