@@ -245,16 +245,16 @@ def _serve(conn, parent_ends):
     # end-of-file or fails to send, and ends.
     for c in parent_ends:
         c.close()
-    while True:
-        try:
+    # The one way out: the parent is gone.  A pipe is a socket pair, so
+    # that shows as end-of-file or a reset on recv, a broken pipe on send.
+    with contextlib.suppress(EOFError, ConnectionError):
+        while True:
             fn, jobs = conn.recv()
-        except EOFError:
-            return
-        try:
-            reply = ("ok", [fn(j) for j in jobs])
-        except Exception:
-            reply = ("fault", traceback.format_exc())
-        conn.send(reply)
+            try:
+                reply = ("ok", [fn(j) for j in jobs])
+            except Exception:
+                reply = ("fault", traceback.format_exc())
+            conn.send(reply)
 
 
 def _reply(conn, proc):

@@ -113,7 +113,7 @@ class _Cursor:
 
     def string(self):
         try:
-            return self.take(self.u32()).decode("utf-8")
+            return str(self.take(self.u32()), "utf-8")
         except UnicodeDecodeError:
             raise CubeFileError("cube file holds a name that is not "
                                 "UTF-8") from None
@@ -125,9 +125,12 @@ def load_cube_file(path):
     if len(data) < len(MAGIC) + 4 or not data.startswith(MAGIC):
         raise CubeFileError(f"{path} is not a cube file")
     stored = struct.unpack("<I", data[-4:])[0]
-    if zlib.crc32(data[:-4]) != stored:
+    # a view, so that the file's bytes are held once: the values are copied
+    # out of it, and nothing else is
+    body = memoryview(data)[:-4]
+    if zlib.crc32(body) != stored:
         raise CubeFileError(f"{path} failed its checksum, file is corrupt")
-    cur = _Cursor(data[:-4])
+    cur = _Cursor(body)
     cur.take(len(MAGIC))
     m, n, T = cur.u32(), cur.u32(), cur.u32()
     attr_names = tuple(cur.string() for _ in range(n))

@@ -59,7 +59,7 @@ class LearnParams:
     n_trees: int = 100
     instance_frac: float = 0.7
     attr_frac: float = 0.5
-    seed: object = 0
+    seed: object = 0   # an int or a sequence of ints; stored as a tuple
 
     def __post_init__(self):
         seed = self.seed if isinstance(self.seed, (tuple, list)) else \
@@ -76,10 +76,12 @@ class LearnParams:
         if not (0.0 < self.instance_frac <= 1.0 and 0.0 < self.attr_frac <= 1.0):
             raise ValueError("sampling fractions must be in (0, 1]")
         # a string is a sequence of names to `in`, and "L" or "LG" would
-        # pass, but model files write and read these fields as lists
-        if isinstance(self.relations, str) or \
-                isinstance(self.functions, str):
-            raise ValueError("params hold a string for a list of names")
+        # pass; a set or a dict has no order to search or save names in
+        for names in (self.relations, self.functions):
+            if isinstance(names, str):
+                raise ValueError("params hold a string for a list of names")
+            if not isinstance(names, (tuple, list)):
+                raise ValueError(f"params hold {names!r} for a list of names")
         for r in self.relations:
             if r not in RELATIONS or r == "Id":
                 raise ValueError(f"bad relation {r!r} in params")
@@ -97,6 +99,10 @@ class LearnParams:
         if not seed or \
                 not all(isinstance(s, Integral) and s >= 0 for s in seed):
             raise ValueError(f"bad seed {self.seed!r} in params")
+        # Python ints, so that a numpy integer seed still writes as JSON
+        object.__setattr__(self, "seed", tuple(int(s) for s in seed))
+        object.__setattr__(self, "relations", tuple(self.relations))
+        object.__setattr__(self, "functions", tuple(self.functions))
 
 
 @dataclass(frozen=True)
@@ -324,14 +330,7 @@ def _node_relations(params, depth):
         return ("Id",)
     if depth == 0:
         return ("G",)
-    rels = ["Id"]
-    rels.extend(r for r in params.relations if r != "Id")
-    return tuple(rels)
-
-
-def _leaf(labels, k):
-    hist = tuple(int(c) for c in np.bincount(labels, minlength=k))
-    return Leaf(class_id=int(np.argmax(hist)), histogram=hist)
+    return ("Id", *params.relations)
 
 
 def learn_tree(ls, params, indices=None, attrs=None):
@@ -350,22 +349,21 @@ def learn_tree(ls, params, indices=None, attrs=None):
 
     def grow(rows, worlds, depth):
         labels = np.array([ls.instances[i].label for i in rows])
-        h = entropy(tuple(int(c) for c in np.bincount(labels, minlength=k)))
-        if h <= params.max_leaf_entropy or len(rows) < 2:
-            return _leaf(labels, k)
+        hist = tuple(int(c) for c in np.bincount(labels, minlength=k))
+        leaf = Leaf(class_id=int(np.argmax(hist)), histogram=hist)
+        if entropy(hist) <= params.max_leaf_entropy or len(rows) < 2:
+            return leaf
         found = best_split(ls, rows, worlds,
                            relations=_node_relations(params, depth),
                            functions=params.functions, attrs=attrs)
-        if found is None:
-            return _leaf(labels, k)
-        decision, gain = found
-        if gain < params.min_gain:
-            return _leaf(labels, k)
+        if found is None or found[1] < params.min_gain:
+            return leaf
+        decision = found[0]
         truth, refined = witnesses(
             decision, atom_values(ls.table, decision.atom)[rows], worlds,
             ls.frame)
         if truth.all() or not truth.any():
-            return _leaf(labels, k)
+            return leaf
         return Split(decision=decision,
                      left=grow(rows[truth], refined[truth], depth + 1),
                      right=grow(rows[~truth], refined[~truth], depth + 1))
@@ -399,11 +397,6 @@ def predict_tree(tree, inst, mode):
 
 # --- forests ----------------------------------------------------------------
 
-def _seed_tuple(seed):
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return (int(seed),)
-
 _FOREST_TAG = 23
 
 
@@ -418,9 +411,8 @@ def learn_forest(ls, params, indices=None):
     grow_params = replace(params, min_gain=0.0, max_leaf_entropy=0.0)
     trees = []
     subsets = []
-    base = _seed_tuple(params.seed)
     for t in range(params.n_trees):
-        rng = np.random.default_rng((*base, _FOREST_TAG, t))
+        rng = np.random.default_rng((*params.seed, _FOREST_TAG, t))
         inst_sample = sorted(rng.choice(indices, size=n_inst, replace=False))
         attr_sample = sorted(rng.choice(ls.n_attrs, size=n_attr,
                                         replace=False))
@@ -499,18 +491,16 @@ def _node_from_dict(doc, model, depth):
 
 
 def model_to_dict(model):
-    p = model.params
-    doc = {
+    return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "kind": model.kind,
-        "params": {**asdict(p), "seed": list(_seed_tuple(p.seed))},
+        "params": asdict(model.params),
         "classes": list(model.classes),
         "attr_names": list(model.attr_names),
         "trees": [_node_to_dict(t, model.classes, model.attr_names)
                   for t in model.trees],
         "attr_subsets": [list(s) for s in model.attr_subsets],
     }
-    return doc
 
 
 def model_from_dict(doc):
@@ -533,18 +523,14 @@ def _model_from_dict(doc):
     if set(p) != _PARAM_KEYS:
         raise ValueError(f"model params hold {sorted(p)!r}, not "
                          f"{sorted(_PARAM_KEYS)!r}")
-    seed = p["seed"]
-    for value in (seed, p["relations"], p["functions"], doc["classes"],
+    for value in (p["seed"], p["relations"], p["functions"], doc["classes"],
                   doc["attr_names"], doc["trees"], doc["attr_subsets"]):
         if not isinstance(value, list):
             raise ValueError(f"model document holds {value!r}, not a list")
     for names in (doc["classes"], doc["attr_names"]):
         if len(set(names)) != len(names):
             raise ValueError(f"model document repeats a name in {names!r}")
-    params = LearnParams(**{
-        **p, "relations": tuple(p["relations"]),
-        "functions": tuple(p["functions"]),
-        "seed": seed[0] if len(seed) == 1 else tuple(seed)})
+    params = LearnParams(**p)
     if doc["kind"] not in ("tree", "forest") or not doc["trees"] or \
             (doc["kind"] == "tree" and len(doc["trees"]) != 1):
         raise ValueError(f"a {doc['kind']!r} model cannot hold "

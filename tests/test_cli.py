@@ -15,6 +15,7 @@ import threading
 import time
 import zlib
 from multiprocessing.connection import Connection
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -521,6 +522,27 @@ def test_featurize_unpicklable_worker_fault_keeps_its_traceback(
     _no_children_left()
 
 
+def test_featurize_unpicklable_worker_result_is_internal_error(
+        tmp_path, monkeypatch, capfd):
+    # a reply that cannot be pickled is no lost parent: the worker ends with
+    # its own traceback, and the command with exit 3
+    def locked(*args, **kwargs):
+        return SimpleNamespace(names=("a",), values=threading.Lock())
+
+    monkeypatch.setattr(cli, "featurize_signal", locked)
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                   "--jobs", "2"])
+    assert rc == 3
+    # the worker writes its traceback to the file descriptor it shares
+    err = capfd.readouterr().err
+    assert "Traceback" in err and "cannot pickle" in err
+    assert "ended with exit code 1" in err
+    assert not (tmp_path / "out" / "features.cube").exists()
+    _no_children_left()
+
+
 def test_featurize_killed_worker_is_internal_error(tmp_path, monkeypatch,
                                                    capsys):
     # a worker that dies inside a job ends the command with exit 3, not a
@@ -576,9 +598,10 @@ cli.main(["featurize", {str(manifest)!r}, "--out", {str(tmp_path / "out")!r},
           "--jobs", "2"])
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.Popen([sys.executable, "-c", script],
-                            stderr=subprocess.DEVNULL,
-                            env=dict(os.environ, PYTHONPATH=src))
+    err = tmp_path / "stderr"
+    with open(err, "wb") as fh:
+        proc = subprocess.Popen([sys.executable, "-c", script], stderr=fh,
+                                env=dict(os.environ, PYTHONPATH=src))
     workers = set()
     try:
         while len(workers) < 2:
@@ -596,6 +619,8 @@ cli.main(["featurize", {str(manifest)!r}, "--out", {str(tmp_path / "out")!r},
                 break
             time.sleep(0.1)
         assert [pid for pid in workers if _running(pid)] == []
+        # a worker that finds its parent gone ends quietly
+        assert "Traceback" not in err.read_text(encoding="utf-8")
     finally:
         proc.kill()
         proc.wait()

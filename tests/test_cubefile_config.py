@@ -3,6 +3,7 @@ import dataclasses
 import math
 import struct
 import tempfile
+import tracemalloc
 import zlib
 from functools import lru_cache
 from pathlib import Path
@@ -120,6 +121,25 @@ def test_cube_bytes_follow_the_documented_layout(tmp_path, shape):
         path.write_bytes(_packed_cube(names, classes, values, [0, 7, 5]))
         with pytest.raises(CubeFileError, match="label id 7 outside"):
             load_cube_file(path)
+
+
+def test_cube_load_holds_the_file_bytes_once(tmp_path):
+    # the file's bytes and the values copied out of them, and no copy of
+    # the bytes besides: about twice the file size at the peak
+    values = np.random.default_rng(7).normal(size=(30, 77, 300))
+    names = tuple(f"a{i}" for i in range(77))
+    path = tmp_path / "big.cube"
+    write_cube_file(path, names, ("x", "y"), values,
+                    [i % 2 for i in range(30)])
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        cf = load_cube_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(cf.values, values)
+    assert peak < 2.5 * size
 
 
 def test_cube_of_oversized_instances_is_rejected(tmp_path):
@@ -347,7 +367,7 @@ def test_learn_params_from_config():
     assert params.mode == "propositional"
     assert params.min_gain == 0.05
     assert params.n_trees == 12
-    assert params.seed == 3
+    assert params.seed == (3,)
     assert params.relations == ("L", "G")
     assert params.attr_frac == 0.25
 

@@ -127,6 +127,33 @@ def test_learn_params_validation():
             LearnParams(**bad)
 
 
+def test_learn_params_store_one_form():
+    # a seed and the names are stored as tuples, whatever sequence came in
+    tupled = LearnParams(seed=(3,), relations=("L", "G"),
+                         functions=("max", "min"))
+    for seed in (3, (3,), [3], np.int64(3), [np.int64(3)]):
+        for relations in (("L", "G"), ["L", "G"]):
+            for functions in (("max", "min"), ["max", "min"]):
+                params = LearnParams(seed=seed, relations=relations,
+                                     functions=functions)
+                assert params == tupled
+                assert hash(params) == hash(tupled)
+                assert type(params.seed[0]) is int
+    assert LearnParams().seed == (0,)
+    assert LearnParams(seed=[5, 2]).seed == (5, 2)
+    assert LearnParams(relations=["G"]).relations == ("G",)
+    assert LearnParams(functions=["max"]).functions == ("max",)
+
+
+def test_learn_params_refuse_unordered_names():
+    # a set or a dict has no order to search or save names in, and a
+    # string is no list of names
+    for field, names in (("relations", "L"), ("functions", "max")):
+        for bad in ({names}, {names: 1}, names):
+            with pytest.raises(ValueError, match="for a list of names"):
+                LearnParams(**{field: bad})
+
+
 # --- decision application ----------------------------------------------------
 
 def test_apply_decision_refines_to_all_witnesses():
@@ -631,6 +658,19 @@ def test_model_round_trip_with_tuple_params(tmp_path):
     save_model(model, path)
     assert load_model(path) == model
     assert load_model(path).params.relations == ("L", "G")
+
+
+def test_forest_seed_round_trips_in_either_form(tmp_path):
+    rng = np.random.default_rng(40)
+    ls = _random_ls(rng, m=8, T=3, n_attrs=4)
+    one = learn_forest(ls, LearnParams(n_trees=3, seed=(7,)))
+    path = tmp_path / "model.json"
+    save_model(one, path)
+    assert load_model(path) == one
+    # seed=7 and seed=(7,) are one seed: the same forest, the same bytes
+    bare = learn_forest(ls, LearnParams(n_trees=3, seed=7))
+    assert bare == one
+    assert model_to_json(bare) == path.read_text(encoding="utf-8")
 
 
 def test_model_json_stable_bytes():
