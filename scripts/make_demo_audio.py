@@ -28,7 +28,7 @@ def synth_clip(rng, band, seconds, rate):
 
 def _write_wav(path, rate, pcm):
     # 16-bit mono PCM with the standard library, so that a process that
-    # writes the demo clips and then featurizes them loads no scipy.io
+    # writes the demo clips and then featurizes them loads no scipy
     with wave.open(path, "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)

@@ -17,10 +17,11 @@ from functools import lru_cache
 
 import numpy as np
 
-# scipy is imported inside the functions that use it: importing it costs
-# more than a whole model command, and only featurize needs it.  WAV files
-# are read here, not by scipy.io, whose import alone keeps about 3 MB more
-# resident in the featurize process.
+# Only the band-pass filter needs scipy, and imports scipy.signal inside
+# the functions that use it: importing it costs more than a whole featurize
+# without one.  WAV files are read here, not by scipy.io, and the cepstral
+# DCT is computed from numpy's FFT, not by scipy.fft, whose import alone
+# keeps about 25 MB more resident in the featurize process.
 
 
 class AudioDecodeError(ValueError):
@@ -665,17 +666,114 @@ def mel_spectrogram(spec, n_filters=26):
 
 LOG_FLOOR = 1e-10
 
+# pi as pocketfft writes it, a long double literal; its sqrt(2) literal
+# rounds to this double
+_PI_L = np.longdouble("3.141592653589793238462643383279502884197")
+_SQRT2 = 1.4142135623730951
+
+
+@lru_cache(maxsize=16)
+def _dct_plan(n):
+    """pocketfft's constants of the length-n DCT-II and DCT-III: the scale
+    1/sqrt(2n), rounded once from long double, and the twiddles w[i], the
+    cosines of 2*pi*(i+1)/(4n), as (w[k-1], w[n-k-1]) columns for k from 1
+    to (n+1)//2 - 1, and w[n//2 - 1].  Each twiddle is pocketfft's product
+    of two table roots, v1[j & mask] times v2[j >> shift] for j = i+1, and
+    each root comes from libm's cos and sin at a multiple of pi/(16n) of at
+    most pi/4.  Read-only, built once per n."""
+    ang = float(np.longdouble(0.25) * _PI_L / np.longdouble(4 * n))
+    shift = 1
+    while (1 << shift) ** 2 < 2 * n + 1:
+        shift += 1
+    mask = (1 << shift) - 1
+
+    def root(x):   # (cos, sin) of 2*pi*x/(4n), for 0 <= x <= n
+        y = 8 * x
+        if y < 4 * n:
+            return math.cos(y * ang), math.sin(y * ang)
+        if y < 8 * n:
+            return math.sin((8 * n - y) * ang), math.cos((8 * n - y) * ang)
+        return -0.0, 1.0   # pocketfft's -sin(0), cos(0)
+
+    w = []
+    for j in range(1, n + 1):
+        (ar, ai), (br, bi) = root(j & mask), root(j >> shift << shift)
+        w.append(ar * br - ai * bi)
+    h = (n + 1) // 2
+    wk = np.array(w[:h - 1])[:, None]
+    wkc = np.array(w[n - 2:n - h - 1:-1])[:, None]
+    wk.setflags(write=False)
+    wkc.setflags(write=False)
+    fct = float(np.longdouble(1) / np.sqrt(np.longdouble(2 * n)))
+    return fct, wk, wkc, w[n // 2 - 1]
+
+
+def _dct(x, inverse=False):
+    """scipy.fft.dct(x, type=2, axis=0, norm="ortho"), or its idct with
+    inverse, bit for bit on numpy >= 2: pocketfft's DCT-II and DCT-III in
+    its own order of operations around numpy's real FFT, which is the same
+    pocketfft."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    c = x.reshape(n, -1)
+    fct, wk, wkc, wmid = _dct_plan(n)
+    h, p = (n + 1) // 2, (n - 1) // 2
+    lo, hi = slice(1, h), slice(n - 1, n - h, -1)   # rows k and n-k
+    odd, even = slice(1, 2 * p, 2), slice(2, 2 * p + 1, 2)
+    out = np.empty_like(c)
+    if not inverse:
+        # pocketfft's half-complex input 2c[0], c[2]+c[1], c[2]-c[1], ...
+        # as bins; irfft reads no imaginary part of bin 0 or bin n/2
+        z = np.zeros((n // 2 + 1, c.shape[1]), dtype=np.complex128)
+        np.multiply(c[0], 2.0, out=z.real[0])
+        np.add(c[even], c[odd], out=z.real[1:p + 1])
+        np.subtract(c[even], c[odd], out=z.imag[1:p + 1])
+        if n % 2 == 0:
+            np.multiply(c[n - 1], 2.0, out=z.real[n // 2])
+        y = np.fft.irfft(z, n=n, axis=0, norm="forward")
+        y *= fct
+        t1 = wk * y[hi]
+        t1 += wkc * y[lo]
+        t2 = wk * y[lo]
+        t2 -= wkc * y[hi]
+        np.add(t1, t2, out=out[lo])
+        np.subtract(t1, t2, out=out[hi])
+        out[lo] *= 0.5
+        out[hi] *= 0.5
+        if n % 2 == 0:
+            np.multiply(y[h], wmid, out=out[h])
+        np.multiply(y[0], _SQRT2 * 0.5, out=out[0])
+    else:
+        v = np.empty_like(c)
+        np.multiply(c[0], _SQRT2, out=v[0])
+        t1 = c[lo] + c[hi]
+        t2 = c[lo] - c[hi]
+        np.multiply(wk, t2, out=v[lo])
+        v[lo] += wkc * t1
+        np.multiply(wk, t1, out=v[hi])
+        v[hi] -= wkc * t2
+        if n % 2 == 0:
+            np.multiply(c[h], 2.0 * wmid, out=v[h])
+        # the bins as pocketfft's half-complex output, scaled, then paired
+        z = np.fft.rfft(v, axis=0)
+        re, im = z.real * fct, z.imag * fct
+        out[0] = re[0]
+        np.subtract(re[1:p + 1], im[1:p + 1], out=out[odd])
+        np.add(im[1:p + 1], re[1:p + 1], out=out[even])
+        if n % 2 == 0:
+            out[n - 1] = re[n // 2]
+    return out.reshape(x.shape)
+
 
 def mel_to_mfcc(mel_matrix, n_coeffs=13):
     """Log (floored at 1e-10) then orthonormal DCT-II, keep n_coeffs rows."""
-    from scipy.fft import dct
     logm = np.log(np.maximum(mel_matrix, LOG_FLOOR))
-    return dct(logm, type=2, axis=0, norm="ortho")[:n_coeffs]
+    return _dct(logm)[:n_coeffs]
 
 
 def inverse_mfcc(coeffs):
-    from scipy.fft import idct
-    return idct(coeffs, type=2, axis=0, norm="ortho")
+    """The orthonormal DCT-III (inverse DCT-II) of coeffs along axis 0."""
+    return _dct(coeffs, inverse=True)
 
 
 def delta(series, half_window=2):

@@ -317,13 +317,10 @@ def cmd_featurize(args, cfg):
                           "(argument or config key)")
     rows = _read_manifest(manifest)
 
-    # The workers are forked: import what they need here, once, rather
-    # than in every worker.
-    needed = ["scipy.fft"]
+    # The workers are forked: import the band-pass filter's scipy.signal
+    # here, once, rather than in every worker.
     if cfg.bandpass_low is not None:
-        needed.append("scipy.signal")
-    for module in needed:
-        importlib.import_module(module)
+        importlib.import_module("scipy.signal")
 
     # Workers are forked all at once, so there are no more than files and
     # CPUs.  They keep each row's clip from the first pass to the second,

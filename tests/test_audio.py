@@ -1,7 +1,9 @@
 """WAV decoding, DSP front end, and feature cube assembly."""
 import io
 import math
+import os
 import struct
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -778,6 +780,61 @@ def test_dct_round_trip():
     logm = np.log(np.maximum(mel, 1e-10))
     back = inverse_mfcc(mel_to_mfcc(mel, n_coeffs=26))
     assert np.allclose(back, logm, rtol=1e-9, atol=1e-12)
+
+
+NUMPY_2 = int(np.__version__.split(".")[0]) >= 2
+
+
+def _assert_same_transform(ours, ref):
+    # numpy >= 2 runs the C++ pocketfft that scipy runs, and the DCT keeps
+    # its order of operations: the bytes match.  numpy 1's C pocketfft
+    # rounds otherwise; both stay within a few units in the last place of
+    # each column's largest value, though near-zero outputs may differ in
+    # many of their own.
+    if NUMPY_2:
+        assert ours.tobytes() == ref.tobytes()
+    else:
+        scale = np.spacing(np.abs(ref).max(axis=0))
+        assert np.all(np.abs(ours - ref) <= 16 * scale)
+
+
+_NEAR_FLOOR = np.array([0.0, np.nextafter(1e-10, 0.0), 1e-10,
+                        np.nextafter(1e-10, 1.0)])
+
+
+def test_dct_matches_scipy_bit_for_bit():
+    from scipy.fft import dct, idct
+    rng = np.random.default_rng(19)
+    for n in range(2, 65):
+        for width in (1, 1 + n % 80, 80):
+            # Mel energies from 1e-12 to 1e2, with zeros and values at and
+            # next to the 1e-10 log floor
+            mel = 10.0 ** rng.uniform(-12.0, 2.0, size=(n, width))
+            spots = rng.random((n, width)) < 0.3
+            mel[spots] = rng.choice(_NEAR_FLOOR, size=spots.sum())
+            logm = np.log(np.maximum(mel, 1e-10))
+            ref = dct(logm, type=2, axis=0, norm="ortho")
+            _assert_same_transform(mel_to_mfcc(mel, n_coeffs=n), ref)
+            _assert_same_transform(mel_to_mfcc(mel, n_coeffs=n // 2 + 1),
+                                   ref[:n // 2 + 1])
+            _assert_same_transform(
+                inverse_mfcc(logm), idct(logm, type=2, axis=0, norm="ortho"))
+    x = rng.normal(size=7)
+    _assert_same_transform(inverse_mfcc(x), idct(x, type=2, norm="ortho"))
+
+
+@pytest.mark.skipif(not NUMPY_2, reason="numpy 2's CPU dispatch names")
+def test_dct_matches_scipy_bit_for_bit_on_avx2_dispatch():
+    # numpy dispatches as on an AVX2 CPU in the child; its FFT and scipy's
+    # must still agree
+    src = os.path.dirname(os.path.dirname(os.path.abspath(audio.__file__)))
+    env = dict(os.environ, PYTHONPATH=src,
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_dct_matches_scipy_bit_for_bit"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_delta_properties():

@@ -953,27 +953,38 @@ def test_importing_the_cli_loads_no_scipy():
     assert _scipy_loaded_by("import symaudio.cli") == []
 
 
-def test_featurize_without_bandpass_loads_scipy_fft_alone(tmp_path):
-    # WAV files are read without scipy.io, and scipy.signal is loaded only
-    # for a band-pass
+def _scipy_loaded_by_featurize(tmp_path, extra=()):
+    # the scipy subpackages a fresh interpreter holds after featurizing two
+    # clips with two workers
     wavs = tmp_path / "wavs"
     wavs.mkdir()
     _tone_wav(wavs / "a.wav", 440)
     _tone_wav(wavs / "b.wav", 1500)
     manifest = wavs / "manifest.csv"
     manifest.write_text("a.wav,lo\nb.wav,hi\n", encoding="utf-8")
-    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
-    loaded = _scipy_loaded_by(f"""
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out", extra)
+    return _scipy_loaded_by(f"""
 from symaudio import cli
 assert cli.main(["featurize", {str(manifest)!r}, "--config", {str(cfg)!r},
                  "--jobs", "2"]) == 0
 """)
-    assert "scipy.fft" in loaded
-    assert not {"scipy.io", "scipy.sparse", "scipy.signal"} & set(loaded)
 
 
-def test_readme_demo_featurize_loads_no_scipy_io(tmp_path):
-    # the README demo writes its clips and featurizes them in one process
+def test_featurize_without_bandpass_loads_no_scipy(tmp_path):
+    # WAV files are read without scipy.io, the cepstral DCT is computed
+    # without scipy.fft, and scipy.signal is loaded only for a band-pass
+    assert _scipy_loaded_by_featurize(tmp_path) == []
+
+
+def test_featurize_with_bandpass_loads_scipy_signal_not_io(tmp_path):
+    loaded = _scipy_loaded_by_featurize(
+        tmp_path, ["bandpass_low=100", "bandpass_high=3500"])
+    assert "scipy.signal" in loaded and "scipy.io" not in loaded
+
+
+def test_readme_demo_featurize_loads_no_scipy(tmp_path):
+    # the README demo writes its clips and featurizes them in one process,
+    # without a band-pass
     script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
                           "make_demo_audio.py")
     loaded = _scipy_loaded_by(f"""
@@ -986,8 +997,7 @@ from symaudio import cli
 assert cli.main(["featurize", "--config", cfg, "--out",
                  {str(tmp_path / "out")!r}, "--jobs", "2"]) == 0
 """)
-    assert "scipy.fft" in loaded
-    assert not {"scipy.io", "scipy.sparse"} & set(loaded)
+    assert loaded == []
 
 
 def test_benchmark_trace_hooks_resolve():
