@@ -8,6 +8,8 @@ small number of averaged windows.  At the default settings the result is a
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import os
 import struct
@@ -17,11 +19,13 @@ from functools import lru_cache
 
 import numpy as np
 
-# Only the band-pass filter needs scipy, and imports scipy.signal inside
-# the functions that use it: importing it costs more than a whole featurize
-# without one.  WAV files are read here, not by scipy.io, and the cepstral
-# DCT is computed from numpy's FFT, not by scipy.fft, whose import alone
-# keeps about 25 MB more resident in the featurize process.
+# Only the band-pass filter needs scipy, and from it only the compiled
+# loop over second-order sections, loaded from its own file when the first
+# band-pass runs (sosfilt_kernel): the filter is designed here in numpy, and
+# the scipy.signal package, whose import loads some 800 modules and 76 MB,
+# is never imported.  WAV files are read here, not by scipy.io, and the
+# cepstral DCT is computed from numpy's FFT, not by scipy.fft, whose import
+# alone keeps about 25 MB more resident in the featurize process.
 
 
 class AudioDecodeError(ValueError):
@@ -416,30 +420,165 @@ def resample(sig, target_rate):
     return AudioSignal(out, int(target_rate))
 
 
+BAND_ORDER = 4
+_REAL_TOL = 100 * np.finfo(np.float64).eps
+
+
+@lru_cache(maxsize=1)
+def sosfilt_kernel():
+    """scipy's compiled loop over second-order sections, _sosfilt(sos, x,
+    zi), which filters the rows of x in place.  It is loaded from its own
+    file, scipy/signal/_sosfilt*.so, once per process: importing the
+    scipy.signal package would load some 800 modules and 76 MB with it."""
+    scipy = importlib.util.find_spec("scipy")
+    where = os.path.join(scipy.submodule_search_locations[0], "signal") \
+        if scipy is not None else "(scipy is not installed)"
+    finder = importlib.machinery.FileFinder(
+        where, (importlib.machinery.ExtensionFileLoader,
+                importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.signal._sosfilt")
+    if spec is None:
+        raise RuntimeError(f"scipy's compiled section filter _sosfilt is "
+                           f"not in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._sosfilt
+
+
+def _butter_zpk(sample_rate, low, high):
+    """Digital zeros, poles and gain of scipy.signal.butter(BAND_ORDER,
+    (low, high), "bandpass", fs=sample_rate), or of its "highpass" at low
+    when high is Nyquist, in scipy 1.17's order of operations: buttap,
+    pre-warping, lp2bp_zpk or lp2hp_zpk, bilinear_zpk at fs = 2."""
+    p = -np.exp(1j * np.pi * np.arange(-BAND_ORDER + 1, BAND_ORDER, 2,
+                                       dtype=np.float64) / (2 * BAND_ORDER))
+    fs = float(sample_rate)
+    highpass = high >= fs / 2.0
+    wn = np.asarray(low if highpass else [low, high], dtype=np.float64)
+    warped = 2 * 2.0 * np.tan(np.pi * (wn / (fs / 2)) / 2.0)
+    if highpass:
+        # every zero at 0 Hz; the gain prod(-z) / prod(-p), with no zeros
+        wo = float(warped)
+        k = np.real(1 / np.prod(-p))
+        z, p = np.zeros(BAND_ORDER), wo / p
+    else:
+        # half the zeros at 0 Hz, half at infinity (added at Nyquist below)
+        bw, wo = float(warped[1] - warped[0]), \
+            float(np.sqrt(warped[0] * warped[1]))
+        p = p * bw / 2
+        root = np.sqrt(p**2 - wo**2)
+        p = np.concatenate((p + root, p - root))
+        z = np.zeros(BAND_ORDER, dtype=np.complex128)
+        k = bw**BAND_ORDER
+    fs2 = 2.0 * 2.0
+    k = k * np.real(np.prod(fs2 - z) / np.prod(fs2 - p))
+    z = np.concatenate(((fs2 + z) / (fs2 - z), -np.ones(len(p) - len(z))))
+    return z, (fs2 + p) / (fs2 - p), k
+
+
+def _cplxreal(p):
+    """scipy's _cplxreal: (one pole of each conjugate pair, averaged with
+    its partner; the poles it takes as real), each sorted by real part,
+    runs of nearly equal real parts of the pairs by |imag|.  Poles count
+    as real within 100 ulps, which the bilinear transform reaches when an
+    edge lies within a hair of 0 Hz or Nyquist."""
+    p = p[np.lexsort((abs(p.imag), p.real))]
+    real = abs(p.imag) <= _REAL_TOL * abs(p)
+    zp, zn = p[~real & (p.imag > 0)], p[~real & (p.imag < 0)]
+    same_real = np.diff(zp.real) <= _REAL_TOL * abs(zp[:-1])
+    diffs = np.diff(np.concatenate(([0], same_real, [0])))
+    for start, stop in zip(np.nonzero(diffs > 0)[0],
+                           np.nonzero(diffs < 0)[0] + 1):
+        for chunk in (zp[start:stop], zn[start:stop]):
+            chunk[...] = chunk[np.lexsort([abs(chunk.imag)])]
+    return (zp + zn.conj()) / 2, p[real].real
+
+
+def _poly(roots):
+    """The coefficients of the monic polynomial of roots, as np.poly
+    convolves them, real parts only."""
+    a = np.ones(1, dtype=roots.dtype)
+    for r in roots:
+        a = np.convolve(a, np.stack((np.ones_like(r), -r)))
+    return a.real
+
+
 @lru_cache(maxsize=16)
 def _band_sos(sample_rate, low, high):
-    """The read-only second-order sections of bandpass's filter."""
-    from scipy.signal import butter
-    if high >= sample_rate / 2.0:
-        # upper edge at Nyquist degenerates to a high-pass
-        sos = butter(4, low, btype="highpass", fs=sample_rate, output="sos")
-    else:
-        sos = butter(4, [low, high], btype="bandpass", fs=sample_rate,
-                     output="sos")
+    """The read-only second-order sections of bandpass's filter: scipy's
+    zpk2sos with "nearest" pairing, for zeros that are all +1 or -1 and
+    poles that are complex or, taken as real, come in twos."""
+    z, p, k = _butter_zpk(sample_rate, low, high)
+    sos = np.zeros((len(p) // 2, 6))
+    z, p = np.sort(z.real), np.concatenate(_cplxreal(p))
+    for si in range(len(sos) - 1, -1, -1):
+        # the pole nearest the unit circle with its conjugate, or with the
+        # real pole nearest the circle after it (real poles come in twos),
+        # and the two zeros nearest to it
+        i = np.argmin(np.abs(1 - np.abs(p)))
+        p1, p = p[i], np.delete(p, i)
+        if np.isreal(p1):
+            real = np.flatnonzero(np.isreal(p))
+            i = real[np.argmin(np.abs(1 - np.abs(p[real])))]
+            p2, p = p[i], np.delete(p, i)
+        else:
+            p2 = p1.conj()
+        zeros = []
+        for _ in range(2):
+            j = np.argsort(np.abs(z - p1))[0]
+            zeros.append(z[j])
+            z = np.delete(z, j)
+        sos[si, :3] = _poly(np.asarray(zeros))
+        sos[si, 3:] = _poly(np.asarray([p1, p2]))
+    sos[0, :3] *= k
     sos.setflags(write=False)
     return sos
 
 
+@lru_cache(maxsize=16)
+def _band_zi(sample_rate, low, high):
+    """scipy's sosfilt_zi of _band_sos: each section's steady state for a
+    unit step (lfilter_zi, from its companion matrix), scaled by the gain
+    of the sections before it; read-only."""
+    sos = _band_sos(sample_rate, low, high)
+    zi = np.empty((len(sos), 2))
+    scale = 1.0
+    for s, (b, a) in enumerate(zip(sos[:, :3], sos[:, 3:])):
+        # I - A^T, A the companion matrix of a, whose a[0] is 1
+        step = np.array([[1 + a[1], -1.0], [a[2], 1.0]])
+        zi[s] = scale * np.linalg.solve(step, b[1:] - a[1:] * b[0])
+        scale *= np.sum(b) / np.sum(a)
+    zi.setflags(write=False)
+    return zi
+
+
 def bandpass(sig, low, high):
-    """Zero-phase 4th-order Butterworth band-pass between low and high Hz.
-    The filter of each (rate, low, high) is designed once per process."""
-    from scipy.signal import sosfiltfilt
+    """Zero-phase 4th-order Butterworth band-pass between low and high Hz:
+    scipy.signal.sosfiltfilt of butter's sections, bit for bit.  The filter
+    of each (rate, low, high) is designed once per process."""
     nyq = sig.sample_rate / 2.0
     if not (0.0 < low < high <= nyq):
         raise ValueError(f"band edges must satisfy 0 < low < high <= {nyq}")
-    # scipy's filter kernel takes only writable sections: hand it a copy
-    sos = _band_sos(sig.sample_rate, low, high).copy()
-    return AudioSignal(sosfiltfilt(sos, sig.samples), sig.sample_rate)
+    kernel = sosfilt_kernel()
+    sos = _band_sos(sig.sample_rate, low, high)
+    zi = _band_zi(sig.sample_rate, low, high)
+    # sosfiltfilt's default padding: three times the taps of the sections
+    # (no denominator here ends in zero, so scipy drops none)
+    edge = 3 * (2 * len(sos) + 1)
+    x = sig.samples
+    if len(x) <= edge:
+        raise ValueError(f"a band-pass needs a clip of at least {edge + 1} "
+                         f"samples, not {len(x)}")
+    # the clip extended by its odd reflection at both ends, filtered
+    # forwards, then backwards, each pass starting from the steady state
+    # of its first sample; the kernel takes only writable sections
+    y = np.concatenate((2 * x[:1] - x[edge:0:-1], x,
+                        2 * x[-1:] - x[-2:-edge - 2:-1]))[None]
+    sos = sos.copy()
+    kernel(sos, y, (zi * y[0, :1])[None])
+    y = y[:, ::-1].copy()
+    kernel(sos, y, (zi * y[0, :1])[None])
+    return AudioSignal(y[0, ::-1][edge:-edge], sig.sample_rate)
 
 
 def trim_nonspeech(sig, frame_ms=25.0, threshold_db=35.0):

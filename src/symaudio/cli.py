@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import importlib
 import io
 import multiprocessing
 import os
@@ -20,7 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from .audio import (AudioSignal, FeatureCube, bandpass, decode_wav,
-                    featurize_signal, resample, trim_nonspeech)
+                    featurize_signal, resample, sosfilt_kernel,
+                    trim_nonspeech)
 from .config import (ConfigError, ExperimentConfig, learn_params_from,
                      load_config, normalize_mode, validate_config)
 from .cubefile import atomic_write, load_cube_file, write_cube_file
@@ -317,10 +317,10 @@ def cmd_featurize(args, cfg):
                           "(argument or config key)")
     rows = _read_manifest(manifest)
 
-    # The workers are forked: import the band-pass filter's scipy.signal
+    # The workers are forked: load the band-pass filter's compiled kernel
     # here, once, rather than in every worker.
     if cfg.bandpass_low is not None:
-        importlib.import_module("scipy.signal")
+        sosfilt_kernel()
 
     # Workers are forked all at once, so there are no more than files and
     # CPUs.  They keep each row's clip from the first pass to the second,

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from scipy.io import wavfile
-from scipy.signal import butter, sosfiltfilt
+from scipy.signal import butter, sosfilt_zi, sosfiltfilt
 
 import reference_resample
 from symaudio import audio
@@ -531,6 +531,105 @@ def test_bandpass_equals_uncached_design():
     assert not audio._band_sos(SR, 100.0, 3000.0).flags.writeable
 
 
+def _butter_sos(rate, low, high):
+    # bandpass's filter as scipy designs it: the high-pass at low when high
+    # is Nyquist
+    if high >= rate / 2:
+        return butter(4, low, btype="highpass", fs=rate, output="sos")
+    return butter(4, [low, high], btype="bandpass", fs=rate, output="sos")
+
+
+def _band_edges(rate):
+    # the last two come so near Nyquist that scipy takes some poles as real
+    # and pairs them with each other
+    nyq = rate / 2
+    return [(100.0, 3000.0), (1e-3, 1.0), (0.5, 40.0), (1e-3, nyq - 1e-3),
+            (nyq - 10.0, nyq - 1e-3), (nyq / 3, nyq - 0.5), (300.0, nyq),
+            (1e-3, nyq), (nyq - 1.0, nyq), (100.0, nyq * (1 - 1e-14)),
+            (nyq / 3, np.nextafter(nyq, 0.0))]
+
+
+def test_band_design_matches_scipy_bit_for_bit():
+    # the sections and the initial-state rows, designed in numpy, equal
+    # butter's and sosfilt_zi's bytes, with edges near 0 Hz and near
+    # Nyquist, and for the high-pass at a Nyquist upper edge
+    for rate in (8000, 11025, 16000, 22050, 44100):
+        for low, high in _band_edges(rate):
+            want = _butter_sos(rate, low, high)
+            sos = audio._band_sos.__wrapped__(rate, low, high)
+            zi = audio._band_zi.__wrapped__(rate, low, high)
+            assert sos.tobytes() == want.tobytes(), (rate, low, high)
+            assert zi.tobytes() == sosfilt_zi(want).tobytes(), \
+                (rate, low, high)
+            assert not sos.flags.writeable and not zi.flags.writeable
+
+
+def test_bandpass_matches_sosfiltfilt_bit_for_bit():
+    # 28 samples is the shortest clip a band-pass takes (sosfiltfilt's
+    # 27-sample odd extension needs one more)
+    rng = np.random.default_rng(20)
+    for rate in (8000, 44100):
+        for low, high in _band_edges(rate):
+            sos = _butter_sos(rate, low, high)
+            for n in (28, 29, 1001, 5797):
+                x = rng.standard_normal(n)
+                got = bandpass(AudioSignal(x, rate), low, high).samples
+                assert got.tobytes() == sosfiltfilt(sos, x).tobytes(), \
+                    (rate, low, high, n)
+
+
+def test_bandpass_degenerate_design_is_a_value_error():
+    # edges so near 0 Hz or Nyquist that a section's poles sit at 1 to
+    # working precision (at 1e-11 Hz only once real poles pair as scipy
+    # pairs them): scipy's sosfilt_zi meets a singular matrix, and so does
+    # bandpass, as a ValueError that featurize reports per clip
+    x = np.random.default_rng(4).standard_normal(200)
+    for low, high in ((1e-5, SR / 2), (1e-11, SR / 2),
+                      (100.0, SR / 2 * (1 - 1e-15))):
+        with pytest.raises(ValueError):
+            sosfiltfilt(_butter_sos(SR, low, high), x)
+        with pytest.raises(ValueError):
+            bandpass(AudioSignal(x, SR), low, high)
+
+
+def test_bandpass_after_scipy_signal_is_imported():
+    # the kernel is loaded first, then scipy.signal, which imports the
+    # same extension module: both filters still give the same bytes
+    src = os.path.dirname(os.path.dirname(os.path.abspath(audio.__file__)))
+    script = """
+import sys
+import numpy as np
+from symaudio import audio
+audio.sosfilt_kernel()
+assert "scipy.signal" not in sys.modules
+from scipy.signal import butter, sosfiltfilt
+x = np.random.default_rng(5).standard_normal(3000)
+sos = butter(4, [100.0, 3000.0], btype="bandpass", fs=8000, output="sos")
+want = sosfiltfilt(sos, x)
+got = audio.bandpass(audio.AudioSignal(x, 8000), 100.0, 3000.0).samples
+assert got.tobytes() == want.tobytes()
+assert sosfiltfilt(sos, x).tobytes() == want.tobytes()
+print("same")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0 and proc.stdout.split() == ["same"], \
+        proc.stdout + proc.stderr
+
+
+def test_bandpass_names_the_shortest_clip_it_takes():
+    x = np.random.default_rng(3).standard_normal(28)
+    assert len(bandpass(AudioSignal(x, SR), 100.0, 3000.0).samples) == 28
+    with pytest.raises(ValueError, match="a band-pass needs a clip of at "
+                                         "least 28 samples, not 27"):
+        bandpass(AudioSignal(x[:27], SR), 100.0, 3000.0)
+    # the high-pass has two sections, so a 15-sample extension
+    assert len(bandpass(AudioSignal(x[:16], SR), 300.0, 4000.0).samples) \
+        == 16
+    with pytest.raises(ValueError, match="at least 16 samples, not 15"):
+        bandpass(AudioSignal(x[:15], SR), 300.0, 4000.0)
+
+
 def test_bandpass_bad_edges():
     sig = _tone(440.0, 0.1)
     for low, high in ((500.0, 300.0), (0.0, 300.0), (-10.0, 300.0),
@@ -833,6 +932,21 @@ def test_dct_matches_scipy_bit_for_bit_on_avx2_dispatch():
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_dct_matches_scipy_bit_for_bit"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.skipif(not NUMPY_2, reason="numpy 2's CPU dispatch names")
+def test_band_filter_matches_scipy_bit_for_bit_on_avx2_dispatch():
+    # the design goes through exp, tan and sqrt, which numpy dispatches by
+    # CPU: in the child it dispatches as on an AVX2 CPU
+    src = os.path.dirname(os.path.dirname(os.path.abspath(audio.__file__)))
+    env = dict(os.environ, PYTHONPATH=src,
+               NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_band_design_matches_scipy_bit_for_bit",
+         f"{__file__}::test_bandpass_matches_sosfiltfilt_bit_for_bit"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

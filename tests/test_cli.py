@@ -136,6 +136,51 @@ def test_featurize_missing_file_within_tolerance(tmp_path, capsys):
     assert report[-1] == "processed 12/13"
 
 
+def test_featurize_bandpass_clip_too_short_is_one_error_row(tmp_path):
+    # a 2 ms clip (16 samples) is shorter than the band-pass's 28-sample
+    # minimum: its row says so, and the other 12 clips are featurized
+    manifest = _make_corpus(tmp_path / "wavs")
+    _tone_wav(tmp_path / "wavs" / "blip.wav", 440, seconds=0.002)
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("blip.wav,lo\n")
+    out = tmp_path / "out"
+    cfg = _write_config(tmp_path / "exp.cfg", out,
+                        ["bandpass_low=100", "bandpass_high=3500"])
+    assert cli.main(["featurize", str(manifest), "--config", str(cfg),
+                     "--jobs", "2"]) == 0
+    report = (out / "features.report.txt").read_text().splitlines()
+    assert [l for l in report if "error" in l] == [
+        "blip.wav\terror: a band-pass needs a clip of at least 28 samples, "
+        "not 16"]
+    assert report[-1] == "processed 12/13"
+    assert load_cube_file(str(out / "features.cube")).values.shape[0] == 12
+
+
+def test_featurize_without_section_kernel_is_internal_fault(
+        tmp_path, capsys, monkeypatch):
+    # a scipy without its compiled section kernel fails before any worker
+    # is forked, with exit 3 and the directory searched
+    import importlib.util
+    from symaudio import audio
+    spec = importlib.util.spec_from_file_location(
+        "scipy", tmp_path / "__init__.py",
+        submodule_search_locations=[str(tmp_path)])
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=1)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out",
+                        ["bandpass_low=100", "bandpass_high=3500"])
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    audio.sosfilt_kernel.cache_clear()
+    try:
+        rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                       "--jobs", "2"])
+    finally:
+        monkeypatch.undo()
+        audio.sosfilt_kernel.cache_clear()
+    assert rc == 3
+    assert str(tmp_path / "signal") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_featurize_too_many_failures(tmp_path, capsys):
     manifest = _make_corpus(tmp_path / "wavs", n_per_class=3)
     with open(manifest, "a", encoding="utf-8") as fh:
@@ -936,11 +981,10 @@ print(json.dumps(seen))
 
 
 def _scipy_loaded_by(script):
-    # scipy and the scipy subpackages a fresh interpreter holds after script
+    # the scipy modules a fresh interpreter holds after script
     script += """
 import json, sys
-print(json.dumps(sorted({".".join(m.split(".")[:2]) for m in sys.modules
-                         if m.split(".")[0] == "scipy"})))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -954,7 +998,7 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def _scipy_loaded_by_featurize(tmp_path, extra=()):
-    # the scipy subpackages a fresh interpreter holds after featurizing two
+    # the scipy modules a fresh interpreter holds after featurizing two
     # clips with two workers
     wavs = tmp_path / "wavs"
     wavs.mkdir()
@@ -976,10 +1020,19 @@ def test_featurize_without_bandpass_loads_no_scipy(tmp_path):
     assert _scipy_loaded_by_featurize(tmp_path) == []
 
 
-def test_featurize_with_bandpass_loads_scipy_signal_not_io(tmp_path):
+def test_featurize_with_bandpass_loads_only_the_section_kernel(tmp_path):
+    # the filter is designed in numpy and run by scipy's compiled section
+    # kernel, loaded from its own file: no scipy.signal package, and none of
+    # the subpackages its import would pull in.  A Cython 3 kernel enters
+    # sys.modules under its own name, with scipy's top-level package.
     loaded = _scipy_loaded_by_featurize(
         tmp_path, ["bandpass_low=100", "bandpass_high=3500"])
-    assert "scipy.signal" in loaded and "scipy.io" not in loaded
+    assert "scipy.signal" not in loaded
+    subpackages = {m.split(".")[1] for m in loaded if "." in m}
+    assert not subpackages & {"sparse", "linalg", "optimize", "special",
+                              "fft", "io"}
+    assert {m for m in loaded if m.startswith("scipy.signal")} <= \
+        {"scipy.signal._sosfilt"}
 
 
 def test_readme_demo_featurize_loads_no_scipy(tmp_path):
