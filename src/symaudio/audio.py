@@ -635,13 +635,21 @@ def stft(sig, window_len=256, hop=128):
     n = len(sig.samples)
     if n < window_len:
         raise ValueError(f"signal shorter than one window ({n} < {window_len})")
-    n_frames = (n - window_len) // hop + 1
-    idx = hop * np.arange(n_frames)[:, None] + np.arange(window_len)[None, :]
-    frames = sig.samples[idx] * _hann(window_len)[None, :]
+    frames = np.lib.stride_tricks.sliding_window_view(
+        sig.samples, window_len)[::hop] * _hann(window_len)
     mags = np.abs(np.fft.rfft(frames, axis=1)).T
     bin_freqs = np.arange(window_len // 2 + 1) * (sig.sample_rate / window_len)
     return Spectrogram(magnitudes=mags, bin_freqs=bin_freqs, frame_hop=hop,
                        window_len=window_len, sample_rate=sig.sample_rate)
+
+
+def require_windows(n_samples, window_len, hop, n_points):
+    """Raise a ValueError unless n_samples give stft n_points frames."""
+    need = window_len + (n_points - 1) * hop
+    if n_samples < need:
+        raise ValueError(
+            f"{n_samples} samples per clip cannot fill {n_points} "
+            f"windows of {window_len} at hop {hop} (need at least {need})")
 
 
 # --- frame-level features ---------------------------------------------------
@@ -813,7 +821,7 @@ _SQRT2 = 1.4142135623730951
 
 @lru_cache(maxsize=16)
 def _dct_plan(n):
-    """pocketfft's constants of the length-n DCT-II and DCT-III: the scale
+    """pocketfft's constants of the length-n DCT-II: the scale
     1/sqrt(2n), rounded once from long double, and the twiddles w[i], the
     cosines of 2*pi*(i+1)/(4n), as (w[k-1], w[n-k-1]) columns for k from 1
     to (n+1)//2 - 1, and w[n//2 - 1].  Each twiddle is pocketfft's product
@@ -847,72 +855,45 @@ def _dct_plan(n):
     return fct, wk, wkc, w[n // 2 - 1]
 
 
-def _dct(x, inverse=False):
-    """scipy.fft.dct(x, type=2, axis=0, norm="ortho"), or its idct with
-    inverse, bit for bit on numpy >= 2: pocketfft's DCT-II and DCT-III in
-    its own order of operations around numpy's real FFT, which is the same
-    pocketfft."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    c = x.reshape(n, -1)
+def _dct(x):
+    """scipy.fft.dct(x, type=2, axis=0, norm="ortho") of a 2-d x, bit for
+    bit on numpy >= 2: pocketfft's DCT-II in its own order of operations
+    around numpy's real FFT, which is the same pocketfft."""
+    c = np.asarray(x, dtype=np.float64)
+    n = c.shape[0]
     fct, wk, wkc, wmid = _dct_plan(n)
     h, p = (n + 1) // 2, (n - 1) // 2
     lo, hi = slice(1, h), slice(n - 1, n - h, -1)   # rows k and n-k
     odd, even = slice(1, 2 * p, 2), slice(2, 2 * p + 1, 2)
     out = np.empty_like(c)
-    if not inverse:
-        # pocketfft's half-complex input 2c[0], c[2]+c[1], c[2]-c[1], ...
-        # as bins; irfft reads no imaginary part of bin 0 or bin n/2
-        z = np.zeros((n // 2 + 1, c.shape[1]), dtype=np.complex128)
-        np.multiply(c[0], 2.0, out=z.real[0])
-        np.add(c[even], c[odd], out=z.real[1:p + 1])
-        np.subtract(c[even], c[odd], out=z.imag[1:p + 1])
-        if n % 2 == 0:
-            np.multiply(c[n - 1], 2.0, out=z.real[n // 2])
-        y = np.fft.irfft(z, n=n, axis=0, norm="forward")
-        y *= fct
-        t1 = wk * y[hi]
-        t1 += wkc * y[lo]
-        t2 = wk * y[lo]
-        t2 -= wkc * y[hi]
-        np.add(t1, t2, out=out[lo])
-        np.subtract(t1, t2, out=out[hi])
-        out[lo] *= 0.5
-        out[hi] *= 0.5
-        if n % 2 == 0:
-            np.multiply(y[h], wmid, out=out[h])
-        np.multiply(y[0], _SQRT2 * 0.5, out=out[0])
-    else:
-        v = np.empty_like(c)
-        np.multiply(c[0], _SQRT2, out=v[0])
-        t1 = c[lo] + c[hi]
-        t2 = c[lo] - c[hi]
-        np.multiply(wk, t2, out=v[lo])
-        v[lo] += wkc * t1
-        np.multiply(wk, t1, out=v[hi])
-        v[hi] -= wkc * t2
-        if n % 2 == 0:
-            np.multiply(c[h], 2.0 * wmid, out=v[h])
-        # the bins as pocketfft's half-complex output, scaled, then paired
-        z = np.fft.rfft(v, axis=0)
-        re, im = z.real * fct, z.imag * fct
-        out[0] = re[0]
-        np.subtract(re[1:p + 1], im[1:p + 1], out=out[odd])
-        np.add(im[1:p + 1], re[1:p + 1], out=out[even])
-        if n % 2 == 0:
-            out[n - 1] = re[n // 2]
-    return out.reshape(x.shape)
+    # pocketfft's half-complex input 2c[0], c[2]+c[1], c[2]-c[1], ... as
+    # bins; irfft reads no imaginary part of bin 0 or bin n/2
+    z = np.zeros((n // 2 + 1, c.shape[1]), dtype=np.complex128)
+    np.multiply(c[0], 2.0, out=z.real[0])
+    np.add(c[even], c[odd], out=z.real[1:p + 1])
+    np.subtract(c[even], c[odd], out=z.imag[1:p + 1])
+    if n % 2 == 0:
+        np.multiply(c[n - 1], 2.0, out=z.real[n // 2])
+    y = np.fft.irfft(z, n=n, axis=0, norm="forward")
+    y *= fct
+    t1 = wk * y[hi]
+    t1 += wkc * y[lo]
+    t2 = wk * y[lo]
+    t2 -= wkc * y[hi]
+    np.add(t1, t2, out=out[lo])
+    np.subtract(t1, t2, out=out[hi])
+    out[lo] *= 0.5
+    out[hi] *= 0.5
+    if n % 2 == 0:
+        np.multiply(y[h], wmid, out=out[h])
+    np.multiply(y[0], _SQRT2 * 0.5, out=out[0])
+    return out
 
 
 def mel_to_mfcc(mel_matrix, n_coeffs=13):
     """Log (floored at 1e-10) then orthonormal DCT-II, keep n_coeffs rows."""
     logm = np.log(np.maximum(mel_matrix, LOG_FLOOR))
     return _dct(logm)[:n_coeffs]
-
-
-def inverse_mfcc(coeffs):
-    """The orthonormal DCT-III (inverse DCT-II) of coeffs along axis 0."""
-    return _dct(coeffs, inverse=True)
 
 
 def delta(series, half_window=2):

@@ -19,8 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from .audio import (AudioSignal, FeatureCube, bandpass, decode_wav,
-                    featurize_signal, resample, sosfilt_kernel,
-                    trim_nonspeech)
+                    featurize_signal, require_windows, resample,
+                    sosfilt_kernel, trim_nonspeech)
 from .config import (ConfigError, ExperimentConfig, learn_params_from,
                      load_config, normalize_mode, validate_config)
 from .cubefile import atomic_write, load_cube_file, write_cube_file
@@ -355,12 +355,7 @@ def _featurize_rows(rows, cfg, n_workers, workers):
             n_target = int(round(cfg.clip_seconds * cfg.resample_hz))
         else:
             n_target = min(lengths.values())
-        n_min = cfg.window_len + (cfg.n_points - 1) * cfg.hop
-        if n_target < n_min:
-            raise ValueError(
-                f"{n_target} samples per clip cannot fill {cfg.n_points} "
-                f"windows of {cfg.window_len} at hop {cfg.hop} "
-                f"(need at least {n_min})")
+        require_windows(n_target, cfg.window_len, cfg.hop, cfg.n_points)
         feats = _map_jobs(_feat_one, [(i, n_target, cfg) for i in lengths],
                           n_workers, workers)
         for (i, length), (kind, payload) in zip(lengths.items(), feats):

@@ -10,7 +10,7 @@ import math
 import typing
 from dataclasses import dataclass
 
-from .audio import require_memory
+from .audio import _band_zi, require_memory, require_windows
 from .trees import LearnParams
 
 
@@ -141,6 +141,13 @@ def validate_config(cfg):
         if cfg.bandpass_high > cfg.resample_hz / 2:
             bad(f"bandpass_high cannot exceed resample_hz / 2 = "
                 f"{cfg.resample_hz / 2}")
+        # designed once and kept: edges near 0 Hz or Nyquist leave no filter
+        try:
+            _band_zi(cfg.resample_hz, cfg.bandpass_low, cfg.bandpass_high)
+        except ValueError as e:
+            bad(f"no band-pass filter from {cfg.bandpass_low} to "
+                f"{cfg.bandpass_high} Hz at resample_hz={cfg.resample_hz}: "
+                f"{e}")
     if cfg.clip_seconds is not None:
         try:
             n_samples = round(cfg.clip_seconds * cfg.resample_hz)
@@ -153,6 +160,7 @@ def validate_config(cfg):
             require_memory(n_samples * 8, f"one clip of clip_seconds="
                            f"{cfg.clip_seconds} at resample_hz="
                            f"{cfg.resample_hz}")
+            require_windows(n_samples, cfg.window_len, cfg.hop, cfg.n_points)
         except ValueError as e:
             raise ConfigError(str(e)) from None
     if cfg.trim_frame_ms <= 0:

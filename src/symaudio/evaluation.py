@@ -232,14 +232,18 @@ def rule_satisfied(rule, inst):
 
 def rule_metrics(rules, instances, min_confidence=0.5, min_coverage=8):
     """Score rules on instances; keep those strictly above both cutoffs."""
+    if not instances:
+        return []
+    stacked = replace(instances[0],
+                      table=np.stack([inst.table for inst in instances]))
+    labels = np.array([inst.label for inst in instances])
     kept = []
     for rule in rules:
-        covered = [inst for inst in instances if rule_satisfied(rule, inst)]
+        covered = labels[rule_satisfied(rule, stacked)]
         cov = len(covered)
         if cov == 0:
             continue
-        conf = sum(1 for inst in covered
-                   if inst.label == rule.consequent) / cov
+        conf = int(np.count_nonzero(covered == rule.consequent)) / cov
         if conf > min_confidence and cov > min_coverage:
             kept.append(replace(rule, coverage=cov, confidence=conf))
     return kept

@@ -152,7 +152,8 @@ class Box:
 
 
 def holds(phi, inst):
-    """Truth of phi at every world of inst.frame, as a boolean row.
+    """Truth of phi at every world of inst.frame, as a boolean row; one row
+    per instance for a table (..., n_fns, n_attrs, I) of stacked instances.
 
     Atoms are any leaf object with fn, attr, op and threshold fields, looked
     up in inst.table.  <R>phi holds where some R-successor satisfies phi,
@@ -168,7 +169,8 @@ def holds(phi, inst):
             return ~ev(phi.sub)
         if isinstance(phi, (And, Or)):
             rows = np.reshape([ev(p) for p in phi.parts],
-                              (len(phi.parts), len(f.intervals)))
+                              (len(phi.parts), *inst.table.shape[:-3],
+                               len(f.intervals)))
             if isinstance(phi, And):
                 return rows.all(axis=0)
             return rows.any(axis=0)
@@ -183,13 +185,13 @@ def holds(phi, inst):
 
 
 def check(phi, inst, w):
-    """Satisfaction of phi on instance inst at interval w."""
+    """Satisfaction of phi on inst at interval w, per stacked instance."""
     try:
         col = inst.frame.index[w]
     except KeyError:
         raise ValueError(
             f"interval {w} is not a world of the instance's frame") from None
-    return bool(holds(phi, inst)[col])
+    return holds(phi, inst)[..., col]
 
 
 # --- text syntax ------------------------------------------------------------

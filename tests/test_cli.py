@@ -36,17 +36,17 @@ def _tone_wav(path, freq, seconds=0.3, amp=0.4, rate=SR):
     wavfile.write(str(path), rate, x.astype(np.int16))
 
 
-def _make_corpus(root, n_per_class=6, rate=SR):
+def _make_corpus(root, n_per_class=6, rate=SR, seconds=0.3):
     """Two tone classes far apart in pitch; returns the manifest path."""
     root.mkdir(parents=True, exist_ok=True)
     lines = ["path,label"]
     for i in range(n_per_class):
         name = f"lo_{i}.wav"
-        _tone_wav(root / name, 400 + 7 * i, rate=rate)
+        _tone_wav(root / name, 400 + 7 * i, seconds=seconds, rate=rate)
         lines.append(f"{name},lo")
     for i in range(n_per_class):
         name = f"hi_{i}.wav"
-        _tone_wav(root / name, 1500 + 7 * i, rate=rate)
+        _tone_wav(root / name, 1500 + 7 * i, seconds=seconds, rate=rate)
         lines.append(f"{name},hi")
     manifest = root / "manifest.csv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -266,12 +266,12 @@ def _no_children_left():
 
 def test_featurize_clip_too_short_for_the_windows_writes_nothing(tmp_path,
                                                                   capsys):
-    # 80 samples cannot fill 5 windows of 256 at hop 128 (768 samples); at
-    # --jobs 2 that is found between the workers' two passes
-    manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
+    # clips of 80 samples cannot fill 5 windows of 256 at hop 128 (768
+    # samples); at --jobs 2 that is found between the workers' two passes
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=2, seconds=0.01)
     out = tmp_path / "out"
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(f"out_dir={out}\nclip_seconds=0.01\n", encoding="utf-8")
+    cfg.write_text(f"out_dir={out}\n", encoding="utf-8")
     for jobs in ("1", "2"):
         rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
                        "--jobs", jobs])
@@ -873,6 +873,54 @@ def test_config_every_clip_would_fail_is_config_error(tmp_path, capsys,
     assert rc == 1
     assert f"config error: {error}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _missing_files_manifest(root):
+    manifest = root / "manifest.csv"
+    manifest.write_text("path,label\nnone_0.wav,a\nnone_1.wav,b\n",
+                        encoding="utf-8")
+    return manifest
+
+
+@pytest.mark.parametrize("lines, error", [
+    (["clip_seconds=0.01"], "80 samples per clip cannot fill 5 windows of "
+     "256 at hop 128 (need at least 768)"),
+    # edges within a hair of 0 Hz or Nyquist leave no filter
+    (["bandpass_low=1e-5", "bandpass_high=4000"],
+     "no band-pass filter from 1e-05 to 4000.0 Hz at resample_hz=8000: "
+     "Singular matrix"),
+    (["bandpass_low=1e-5", "bandpass_high=3000"],
+     "no band-pass filter from 1e-05 to 3000.0 Hz at resample_hz=8000"),
+    (["bandpass_low=100", "bandpass_high=3999.9999999999995"],
+     "no band-pass filter from 100.0 to 3999.9999999999995 Hz")])
+def test_config_found_before_any_file_is_opened(tmp_path, capsys, lines,
+                                                error):
+    # featurize would report the missing files and exit 2, had it read the
+    # manifest
+    manifest = _missing_files_manifest(tmp_path)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("\n".join([f"out_dir={out}", *lines]) + "\n",
+                   encoding="utf-8")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg)])
+    assert rc == 1
+    assert f"config error: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("high", ["3000", "4000"])
+def test_band_edges_that_design_pass_the_config(tmp_path, high):
+    # the benchmark's band and the Nyquist high-pass: the missing files are
+    # then reported one by one
+    manifest = _missing_files_manifest(tmp_path)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"out_dir={out}\nbandpass_low=100\n"
+                   f"bandpass_high={high}\n", encoding="utf-8")
+    rc = cli.main(["featurize", str(manifest), "--config", str(cfg)])
+    assert rc == 2
+    assert (out / "features.report.txt").read_text().endswith(
+        "processed 0/2\n")
 
 
 @pytest.mark.parametrize("line", [

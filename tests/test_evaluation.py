@@ -366,6 +366,47 @@ def test_rule_metrics_filters():
                                    threshold=99.0)), 0)
     assert rule_metrics([never], insts) == []
 
+    # and no instances cover no rule
+    assert rule_metrics([even], [], min_confidence=0.0, min_coverage=0) == []
+
+
+def _scan_rule_metrics(rules, instances, min_confidence, min_coverage):
+    # rule_metrics as a plain scan: each rule checked on each instance
+    kept = []
+    for rule in rules:
+        covered = [inst for inst in instances if rule_satisfied(rule, inst)]
+        if not covered:
+            continue
+        conf = sum(1 for inst in covered
+                   if inst.label == rule.consequent) / len(covered)
+        if conf > min_confidence and len(covered) > min_coverage:
+            kept.append(Rule(rule.antecedent, rule.consequent,
+                             len(covered), conf))
+    return kept
+
+
+@pytest.mark.parametrize("mode", ["modal", "propositional"])
+def test_rule_metrics_equals_a_per_instance_scan(mode):
+    rng = np.random.default_rng(29)
+
+    def draw(n):
+        return [_cube(rng.integers(0, 9, size=(2, 4)) / 8.0)
+                for _ in range(n)]
+    for _ in range(4):
+        labels = [int(x) for x in rng.integers(0, 3, size=30)]
+        ls = build_logiset(draw(30), labels, mode=mode)
+        tree = learn_tree(ls, LearnParams(mode=mode, min_gain=0.0,
+                                          max_leaf_entropy=0.0))
+        rules = extract_rules(tree, mode=mode)
+        fresh = [instance_from_cube(c, mode, label=int(rng.integers(3)))
+                 for c in draw(25)]
+        for insts in (ls.instances, fresh):
+            for cutoffs in ((0.0, 0), (0.5, 8)):
+                got = rule_metrics(rules, insts, *cutoffs)
+                assert got == _scan_rule_metrics(rules, insts, *cutoffs)
+                assert all(type(r.coverage) is int
+                           and type(r.confidence) is float for r in got)
+
 
 def test_first_rule_is_pure_on_training_data():
     rng = np.random.default_rng(13)

@@ -1,4 +1,5 @@
 """Interval domain, accessibility relations, and the model checker."""
+from dataclasses import replace
 from itertools import compress
 
 import numpy as np
@@ -242,6 +243,34 @@ def test_check_agrees_with_independent_checker():
         phi = _random_formula(rng, int(rng.integers(0, 4)))
         w = enumerate_intervals(T)[int(rng.integers(10))]
         assert check(phi, inst, w) == oracles.o_check(phi, series, T, w)
+
+
+def test_stacked_check_equals_per_instance_check():
+    # a table with instances stacked on its leading axes gives each
+    # instance's own truth, in both modes, for the empty connectives and
+    # for both modalities on every relation
+    rng = np.random.default_rng(21)
+    T = 4
+    for mode in ("modal", "propositional"):
+        insts = [instance_from_cube(
+            FeatureCube(("a0", "a1"), rng.integers(0, 9, size=(2, T)) / 8.0),
+            mode) for _ in range(6)]
+        table = np.stack([inst.table for inst in insts])
+        stacks = [replace(insts[0], table=t)
+                  for t in (table, table[:1],
+                            table.reshape(2, 3, *table.shape[1:]))]
+        phis = [And(()), Or(()), Not(Or(())), And((Or(()), Not(And(()))))]
+        phis += [cls(rel, _random_formula(rng, int(rng.integers(0, 3))))
+                 for cls in (Diamond, Box) for rel in RELATIONS]
+        phis += [_random_formula(rng, int(rng.integers(0, 4)))
+                 for _ in range(40)]
+        for phi in phis:
+            for w in insts[0].frame.intervals:
+                want = [check(phi, inst, w) for inst in insts]
+                for stack in stacks:
+                    got = check(phi, stack, w)
+                    assert got.shape == stack.table.shape[:-3]
+                    assert got.ravel().tolist() == want[:got.size]
 
 
 def test_format_examples():
