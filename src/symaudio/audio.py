@@ -11,7 +11,9 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
+import mmap
 import os
+import stat
 import struct
 import threading
 from dataclasses import dataclass
@@ -105,17 +107,27 @@ def _read_wav(buf):
     The samples come as scipy.io.wavfile.read gives them, in native byte
     order: uint8 for PCM of up to 8 bits, int16 or int32 for wider PCM
     (24-bit samples left-justified in int32), float32 or float64 for IEEE
-    float; 1-D for one channel, (frames, channels) for more.  Chunks other
-    than `fmt `, `data` and RF64's `ds64` are skipped, with their pad
-    bytes.  A data chunk is read as far as the file goes, in whole frames.
+    float; 1-D for one channel, (frames, channels) for more.  A data chunk
+    is read as far as the file goes, in whole frames.
     """
-    view = memoryview(buf)
+    rate, order, (form, body) = _wav_chunks(memoryview(buf))
+    return rate, _wav_samples(body, order, *form)
+
+
+def _wav_chunks(view):
+    """The chunk walk of a WAVE file in the buffer view: (rate, byte order,
+    ((tag, channels, bytes per sample), body)) of its last `fmt ` chunk and
+    of its last `data` chunk, with the format in force there.  Chunks other
+    than `fmt `, `data` and RF64's `ds64` are skipped, with their pad
+    bytes.  A data chunk's body ends where the file does, if before its
+    size.
+    """
     magic = bytes(view[:4])
     order = ">" if magic == b"RIFX" else "<"
     if magic not in (b"RIFF", b"RIFX", b"RF64") or view[8:12] != b"WAVE":
         raise ValueError(f"not a WAVE file (starts {bytes(view[:12])!r})")
     riff_size = struct.unpack_from(order + "I", view, 4)[0]
-    fmt = samples = long_size = None
+    fmt = data = long_size = None
     pos = 12
     while pos < riff_size + 8 and pos + 8 <= len(view):
         cid, size = struct.unpack_from(order + "4sI", view, pos)
@@ -129,11 +141,11 @@ def _read_wav(buf):
                 raise ValueError("data chunk before fmt chunk")
             if magic == b"RF64" and size == 0xFFFFFFFF:
                 size = long_size
-            samples = _wav_samples(view[pos:pos + size], order, *fmt[1:])
+            data = fmt[1:], view[pos:pos + size]
         pos += size + (size & 1)
-    if samples is None:
+    if data is None:
         raise ValueError("no data chunk")
-    return fmt[0], samples
+    return fmt[0], order, data
 
 
 def _wav_format(body, order):
@@ -196,6 +208,20 @@ def decode_wav(path):
     elif kind == np.uint8:
         mono = (mono - 128.0) / 128.0
     return AudioSignal(mono, int(rate))
+
+
+def wav_header(path):
+    """(rate, frames) of the WAV file at path, from its chunk headers as
+    decode_wav reads them.  The file is mapped, not read, so no sample is
+    loaded.  Only a regular file is opened: what is read from a named pipe
+    or a device is gone for decode_wav."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"not a regular file: {path!r}")
+    with open(path, "rb") as fh:
+        view = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
+    # the mapping ends with the last view of it, on return
+    rate, _, ((_, channels, width), body) = _wav_chunks(view)
+    return rate, len(body) // (channels * width)
 
 
 def _physical_memory():
@@ -389,6 +415,29 @@ def resample(sig, target_rate):
         return AudioSignal(sig.samples.copy(), sr)
     x = sig.samples
     n_in = len(x)
+    n_out, rows, store, shape = _resampler(sr, target_rate, n_in)
+    taps = store.table.shape[1]
+    xpad = np.zeros(n_in + 2 * taps)   # x[k] is xpad[k + taps], 0 outside
+    xpad[taps:taps + n_in] = x
+    # the input taps of an output whose first tap is k: windows[k + taps]
+    windows = np.lib.stride_tricks.sliding_window_view(xpad, taps)
+    out = np.empty(n_out)
+    for lo in range(0, n_out, rows):
+        hi = min(lo + rows, n_out)
+        if hi <= store.planned:
+            first, slots = store.plan[:, lo:hi]
+        else:
+            first, slots = _block_rows(store, lo, hi, *shape)
+        xv = windows[first]
+        xv *= store.table[slots]
+        xv.sum(axis=1, out=out[lo:hi])
+    return AudioSignal(out, int(target_rate))
+
+
+def _resampler(sr, target_rate, n_in):
+    """resample's checks and set-up for n_in samples from sr to target_rate
+    Hz: (outputs, outputs per block, this thread's _RowStore for the pair,
+    the kernel's (ratio, half-width, cutoff))."""
     n_out = int(round(n_in * target_rate / sr))
     if n_out < 1:
         raise ValueError("signal too short for requested rate")
@@ -402,22 +451,22 @@ def resample(sig, target_rate):
     require_memory(n_out * 8, f"resampling {n_in} samples from {sr} Hz "
                               f"to {target_rate} Hz")
     rows = max(1, RESAMPLE_BLOCK // taps)
-    xpad = np.zeros(n_in + 2 * taps)   # x[k] is xpad[k + taps], 0 outside
-    xpad[taps:taps + n_in] = x
-    # the input taps of an output whose first tap is k: windows[k + taps]
-    windows = np.lib.stride_tricks.sliding_window_view(xpad, taps)
-    out = np.empty(n_out)
     store = _row_store(sr, target_rate, max(rows, KERNEL_CACHE // taps), taps)
-    for lo in range(0, n_out, rows):
+    return n_out, rows, store, (ratio, half, cutoff)
+
+
+def warm_resampler(sr, target_rate, n_in):
+    """Compute into this thread's store the kernel rows and plan that
+    resample would for a clip of n_in samples from sr to target_rate Hz,
+    before any clip is resampled: for its first PLAN_CAP outputs at most,
+    and no further than the table holds, since past that resample would
+    drop them.  The checks are resample's, and raise as there."""
+    n_out, rows, store, shape = _resampler(sr, target_rate, n_in)
+    for lo in range(store.planned, min(n_out, PLAN_CAP), rows):
         hi = min(lo + rows, n_out)
-        if hi <= store.planned:
-            first, slots = store.plan[:, lo:hi]
-        else:
-            first, slots = _block_rows(store, lo, hi, ratio, half, cutoff)
-        xv = windows[first]
-        xv *= store.table[slots]
-        xv.sum(axis=1, out=out[lo:hi])
-    return AudioSignal(out, int(target_rate))
+        if len(store.slot_of) + hi - lo > len(store.table):
+            break
+        _block_rows(store, lo, hi, *shape)
 
 
 BAND_ORDER = 4
@@ -638,9 +687,15 @@ def stft(sig, window_len=256, hop=128):
     frames = np.lib.stride_tricks.sliding_window_view(
         sig.samples, window_len)[::hop] * _hann(window_len)
     mags = np.abs(np.fft.rfft(frames, axis=1)).T
-    bin_freqs = np.arange(window_len // 2 + 1) * (sig.sample_rate / window_len)
-    return Spectrogram(magnitudes=mags, bin_freqs=bin_freqs, frame_hop=hop,
-                       window_len=window_len, sample_rate=sig.sample_rate)
+    return Spectrogram(magnitudes=mags,
+                       bin_freqs=stft_freqs(window_len, sig.sample_rate),
+                       frame_hop=hop, window_len=window_len,
+                       sample_rate=sig.sample_rate)
+
+
+def stft_freqs(window_len, sample_rate):
+    """The frequencies in Hz of stft's bins, 0 to sample_rate / 2."""
+    return np.arange(window_len // 2 + 1) * (sample_rate / window_len)
 
 
 def require_windows(n_samples, window_len, hop, n_points):

@@ -20,9 +20,11 @@ import numpy as np
 
 from .audio import (AudioSignal, FeatureCube, bandpass, decode_wav,
                     featurize_signal, require_windows, resample,
-                    sosfilt_kernel, trim_nonspeech)
+                    sosfilt_kernel, trim_nonspeech, warm_resampler,
+                    wav_header)
 from .config import (ConfigError, ExperimentConfig, learn_params_from,
-                     load_config, normalize_mode, validate_config)
+                     load_config, normalize_mode, validate_config,
+                     validate_front_end)
 from .cubefile import atomic_write, load_cube_file, write_cube_file
 from .evaluation import (METRICS_COLUMNS, RULES_COLUMNS, balanced_holdout,
                          evaluate, extract_rules, metrics_rows, rule_metrics,
@@ -311,6 +313,7 @@ def _map_jobs(fn, jobs, n_workers, workers):
 
 
 def cmd_featurize(args, cfg):
+    validate_front_end(cfg)
     manifest = args.manifest or cfg.manifest
     if not manifest:
         raise ConfigError("featurize needs a manifest "
@@ -328,6 +331,14 @@ def cmd_featurize(args, cfg):
     n_workers = min(args.jobs, len(rows), os.cpu_count() or 1)
     if "fork" not in multiprocessing.get_all_start_methods():
         n_workers = 1
+    if n_workers > 1:
+        # Build the resampler's rows for row 0's rate here, from its header,
+        # so that every worker inherits them.  Best effort: whatever fails
+        # here is left to the row's own job to report.
+        with contextlib.suppress(Exception):
+            rate, frames = wav_header(rows[0][0])
+            if rate != cfg.resample_hz:
+                warm_resampler(rate, cfg.resample_hz, frames)
     workers = []
     try:
         return _featurize_rows(rows, cfg, n_workers, workers)

@@ -10,7 +10,8 @@ import math
 import typing
 from dataclasses import dataclass
 
-from .audio import _band_zi, require_memory, require_windows
+from .audio import (_band_zi, _mel_bank, require_memory,
+                    require_windows, stft_freqs)
 from .trees import LearnParams
 
 
@@ -141,13 +142,6 @@ def validate_config(cfg):
         if cfg.bandpass_high > cfg.resample_hz / 2:
             bad(f"bandpass_high cannot exceed resample_hz / 2 = "
                 f"{cfg.resample_hz / 2}")
-        # designed once and kept: edges near 0 Hz or Nyquist leave no filter
-        try:
-            _band_zi(cfg.resample_hz, cfg.bandpass_low, cfg.bandpass_high)
-        except ValueError as e:
-            bad(f"no band-pass filter from {cfg.bandpass_low} to "
-                f"{cfg.bandpass_high} Hz at resample_hz={cfg.resample_hz}: "
-                f"{e}")
     if cfg.clip_seconds is not None:
         try:
             n_samples = round(cfg.clip_seconds * cfg.resample_hz)
@@ -173,6 +167,28 @@ def validate_config(cfg):
     except ValueError as e:
         raise ConfigError(str(e)) from None
     return cfg
+
+
+def validate_front_end(cfg):
+    """featurize's own config checks: the band filter and the Mel bank are
+    designed, as every clip would use them, and kept for the clips.  The
+    other commands never filter, so they do not pay for the designs."""
+    if cfg.bandpass_low is not None:
+        # edges near 0 Hz or Nyquist leave no filter
+        try:
+            _band_zi(cfg.resample_hz, cfg.bandpass_low, cfg.bandpass_high)
+        except ValueError as e:
+            raise ConfigError(
+                f"no band-pass filter from {cfg.bandpass_low} to "
+                f"{cfg.bandpass_high} Hz at resample_hz={cfg.resample_hz}: "
+                f"{e}") from None
+    # the bank of stft's bins at resample_hz, as mel_spectrogram keys it
+    try:
+        _mel_bank(cfg.n_mel, cfg.resample_hz,
+                  stft_freqs(cfg.window_len, cfg.resample_hz).tobytes())
+    except ValueError as e:
+        raise ConfigError(f"n_mel={cfg.n_mel} at resample_hz="
+                          f"{cfg.resample_hz}: {e}") from None
 
 
 def parse_config(text):

@@ -255,6 +255,49 @@ def test_decode_rejects_malformed_headers(tmp_path, case):
         decode_wav(path)
 
 
+def _headed_blobs():
+    # RIFX stereo 24-bit after a LIST chunk, a mono data chunk that claims
+    # more than the file holds, and RF64 with its size in ds64
+    rng = np.random.default_rng(4)
+    wide = _written("s24", 2, rng, 5)[0].ravel().tolist()
+    mono = _pack("<", "s16", _written("s16", 1, rng, 7)[0].ravel().tolist())
+    ds64 = struct.pack("<QQQI", 0xFFFFFFFF, len(mono), 7, 0)
+    rf64 = _wave([_chunk(b"ds64", ds64), _fmt("<", 1, 1, 2, 16),
+                  _chunk(b"data", mono, size=0xFFFFFFFF)], magic=b"RF64")
+    return [_wave([_fmt(">", 1, 2, 3, 24), _chunk(b"LIST", b"INFOodd", ">"),
+                   _chunk(b"data", _pack(">", "s24", wide), ">")], ">"),
+            _wave([_fmt("<", 1, 1, 2, 16),
+                   _chunk(b"data", mono + b"\x01", size=2 ** 20)]),
+            rf64[:4] + struct.pack("<I", 0xFFFFFFFF) + rf64[8:]]
+
+
+def test_wav_header_reads_the_rate_and_frames_decode_wav_does(tmp_path):
+    path = tmp_path / "clip.wav"
+    for blob in _headed_blobs():
+        path.write_bytes(blob)
+        assert audio.wav_header(path) == (SR, len(decode_wav(path).samples))
+    for blob in [b"", *_malformed().values()]:
+        path.write_bytes(blob)
+        with pytest.raises(ValueError):
+            audio.wav_header(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_wav_header_leaves_a_named_pipe_unread(tmp_path):
+    # what a header read took from a pipe would be gone for decode_wav
+    path = tmp_path / "clip.wav"
+    os.mkfifo(path)
+    blob = _headed_blobs()[0]
+    fd = os.open(path, os.O_RDWR)   # a writer, so no open of the pipe waits
+    try:
+        os.write(fd, blob)
+        with pytest.raises(ValueError, match="not a regular file"):
+            audio.wav_header(path)
+        assert os.read(fd, len(blob) + 1) == blob
+    finally:
+        os.close(fd)
+
+
 # --- resampling and filtering ------------------------------------------------
 
 def test_resample_identity():
@@ -325,7 +368,7 @@ def plan_calls(monkeypatch):
     """An empty row store for this thread, and the (lo, hi) of every block
     whose first taps and slots resample works out rather than reads from
     the plan."""
-    monkeypatch.setattr(audio._kernel_rows, "store", None)
+    monkeypatch.setattr(audio._kernel_rows, "store", None, raising=False)
     calls = []
 
     def recording(store, lo, hi, *args):
@@ -450,6 +493,52 @@ def test_resample_plan_within_its_cap_at_1_to_6250(plan_calls, monkeypatch):
     plan_calls.clear()
     _bitwise_reference(sig, target)
     assert plan_calls == [(4, 5), (5, 6)]
+
+
+def test_warmed_rows_are_the_rows_resample_uses(monkeypatch, plan_calls):
+    # rows and plan built from a rate pair and a length alone: clips of that
+    # length or shorter then compute no row and read every block from the
+    # plan, bit for bit, and warming again builds nothing
+    rows = []
+
+    def counting(t, *args):
+        rows.append(len(t))
+        return kernel(t, *args)
+
+    kernel = audio._kernel
+    monkeypatch.setattr(audio, "_kernel", counting)
+    audio.warm_resampler(44100, 8000, 22050)
+    assert 0 < sum(rows) < 4000
+    assert audio._kernel_rows.store.planned == 4000
+    rows.clear()
+    plan_calls.clear()
+    rng = np.random.default_rng(16)
+    for n in (22050, 9001):
+        _bitwise_reference(AudioSignal(rng.standard_normal(n), 44100), 8000)
+    audio.warm_resampler(44100, 8000, 22050)
+    assert rows == [] and plan_calls == []
+
+
+def test_warming_stops_where_the_table_is_full(monkeypatch, plan_calls):
+    # 44,101 Hz shares almost no row between outputs: warming fills the
+    # table once and stops, rather than build rows that resample would drop
+    monkeypatch.setattr(audio, "PLAN_CAP", 2000)
+    audio.warm_resampler(44101, 8000, 30001)
+    store = audio._kernel_rows.store
+    assert 0 < len(store.table) - 92 < len(store.slot_of) <= len(store.table)
+    assert store.planned == len(store.slot_of)
+    _bitwise_reference(
+        AudioSignal(np.random.default_rng(17).standard_normal(30001), 44101),
+        8000)
+
+
+@pytest.mark.parametrize("sr,n_in,error", [
+    (44100, 2, "signal too short"),
+    (150_000_000, 10 ** 6, "taps per sample, more than 1048576"),
+    (44100, 2 ** 62, "needs")])
+def test_warming_checks_as_resample_does(sr, n_in, error):
+    with pytest.raises(ValueError, match=error):
+        audio.warm_resampler(sr, 8000, n_in)
 
 
 def test_window_recurrence_equals_np_i0():

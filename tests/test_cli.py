@@ -7,6 +7,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import struct
 import subprocess
@@ -240,17 +241,21 @@ def test_featurize_report_lines_are_pinned(tmp_path, capsys):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_featurize_every_row_failing_the_second_pass(tmp_path, capsys, jobs):
-    # 3000 Mel filters over 129 FFT bins collide after rounding: every clip
-    # decodes, then every featurization fails
+    # float samples of 1e200 are taken as they are: every clip decodes,
+    # then every featurization overflows to a non-finite cube
     manifest = _make_corpus(tmp_path / "wavs", n_per_class=2)
+    for wav in (tmp_path / "wavs").glob("*.wav"):
+        rate, x = wavfile.read(str(wav))
+        wavfile.write(str(wav), rate, x * 1e200)
     out = tmp_path / "out"
-    cfg = _write_config(tmp_path / "exp.cfg", out, ["n_mel=3000"])
-    rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
-                   "--jobs", jobs])
+    cfg = _write_config(tmp_path / "exp.cfg", out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["featurize", str(manifest), "--config", str(cfg),
+                       "--jobs", jobs])
     assert rc == 2
     assert "featurize: no usable audio among 4 files" in \
         capsys.readouterr().err
-    error = "error: Mel centers collide after rounding to integer Hz"
+    error = "error: cube contains non-finite values"
     assert (out / "features.report.txt").read_text().splitlines() == [
         f"{name}.wav\t{error}" for name in ("lo_0", "lo_1", "hi_0", "hi_1")
     ] + ["processed 0/4"]
@@ -857,6 +862,153 @@ def test_trim_frame_longer_than_every_clip_keeps_them_whole(tmp_path):
     assert cubes[0] == cubes[1]
 
 
+# --- the resampler's rows, built before the fork -----------------------------
+
+def _rates_corpus(root, first, rates):
+    """A manifest of the WAV `first` (a name, or None for none), then 0.3 s
+    tones at each of rates in turn, of two classes."""
+    root.mkdir(parents=True, exist_ok=True)
+    lines = [] if first is None else [f"{first},lo"]
+    for i, rate in enumerate(rates):
+        name = f"r{i}_{rate}.wav"
+        _tone_wav(root / name, 400 + 900 * (i % 2) + 7 * i, rate=rate)
+        lines.append(f"{name},{'hi' if i % 2 else 'lo'}")
+    manifest = root / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return manifest
+
+
+def _featurized(manifest, cfg, jobs, rc=0):
+    out = cfg.parent / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    assert cli.main(["featurize", str(manifest), "--config", str(cfg),
+                     "--jobs", jobs]) == rc
+    return [(out / name).read_bytes() if (out / name).exists() else None
+            for name in ("features.cube", "features.report.txt")]
+
+
+def test_featurize_interleaved_rates_same_bytes_at_any_jobs(tmp_path,
+                                                           monkeypatch):
+    # at --jobs 2 each worker meets three rate pairs in turn, so it replaces
+    # its one pair's rows and plan again and again; a second featurize in
+    # this process starts from the rows the first one left
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    manifest = _rates_corpus(tmp_path / "wavs", None, (
+        44100, 48000, 16000, 8000, 48000, 44100,
+        8000, 16000, 16000, 8000, 44100, 48000))
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    outputs = [_featurized(manifest, cfg, jobs) for jobs in "122"]
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert outputs[0][1].decode().count("\tok\n") == 12
+    _no_children_left()
+
+
+def _rf64_claiming(path, frames):
+    """The 16-bit mono WAV at path rewritten as RF64, whose ds64 chunk
+    claims `frames` frames of data."""
+    rate, x = wavfile.read(str(path))
+    ds64 = struct.pack("<QQQI", 0xFFFFFFFF, 2 * frames, frames, 0)
+    fmt = struct.pack("<HHIIHH", 1, 1, rate, 2 * rate, 2, 16)
+    path.write_bytes(
+        b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE"
+        + b"ds64" + struct.pack("<I", len(ds64)) + ds64
+        + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+        + b"data" + struct.pack("<I", 0xFFFFFFFF) + x.astype("<i2").tobytes())
+
+
+def _first_row(root, case):
+    root.mkdir(parents=True)
+    path = root / "first.wav"
+    if case == "not a WAV":
+        path.write_bytes(b"path,label\n")
+    elif case == "at the target rate":
+        _tone_wav(path, 700)
+    elif case == "2^40 frames claimed":
+        _tone_wav(path, 700, rate=44100)
+        _rf64_claiming(path, 2 ** 40)
+    elif case == "a named pipe":
+        os.mkfifo(path)
+    elif case == "49,999,999 Hz":
+        # 20,000 frames: 3 outputs of 400,001 taps each
+        noise = np.random.default_rng(5).integers(-2000, 2000, 20_000)
+        wavfile.write(str(path), 49_999_999, noise.astype(np.int16))
+    return path.name
+
+
+def _feed(pipe, blob):
+    """Write blob into the named pipe at pipe once, when a reader opens it,
+    as a process piping one clip in would."""
+    def feed():
+        with open(pipe, "wb") as fh:
+            fh.write(blob)
+    threading.Thread(target=feed, daemon=True).start()
+
+
+@pytest.mark.parametrize("case", [
+    "missing", "not a WAV", "at the target rate", "2^40 frames claimed",
+    "49,999,999 Hz",
+    pytest.param("a named pipe", marks=pytest.mark.skipif(
+        not hasattr(os, "mkfifo"), reason="no named pipes"))])
+def test_featurize_first_row_the_resampler_cannot_warm_for(tmp_path,
+                                                           monkeypatch, case):
+    # the rows built before the fork come from row 0's header alone; a row
+    # 0 they cannot come from is reported by its own job, as at --jobs 1.
+    # A named pipe is not opened for its header, since what was read from
+    # it would be gone for the row's job (which would then wait forever)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    first = _first_row(tmp_path / "wavs", case)
+    manifest = _rates_corpus(tmp_path / "wavs", first, (44100,) * 3)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    rc = 2 if case in ("missing", "not a WAV") else 0
+    if case == "a named pipe":
+        _tone_wav(tmp_path / "piped.wav", 700, rate=44100)
+    runs = []
+    for jobs in "12":
+        if case == "a named pipe":
+            _feed(tmp_path / "wavs" / first,
+                  (tmp_path / "piped.wav").read_bytes())
+        runs.append(_featurized(manifest, cfg, jobs, rc))
+    serial = runs[0]
+    assert runs[1] == serial
+    first_line = serial[1].decode().splitlines()[0]
+    assert first_line.startswith("first.wav\t" +
+                                 ("error: " if rc else "ok"))
+    _no_children_left()
+
+
+def test_featurize_builds_the_resampler_rows_once_before_forking(
+        tmp_path, monkeypatch):
+    # a fresh 44.1 kHz featurize --jobs 2 builds every kernel row and the
+    # Mel bank in this process, before it forks, and a second one in this
+    # process builds none anywhere
+    log = tmp_path / "built.log"
+
+    def logged(fn, what):
+        def wrapper(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{what} {os.getpid()}\n")
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(audio._kernel_rows, "store", None, raising=False)
+    monkeypatch.setattr(audio, "_kernel", logged(audio._kernel, "rows"))
+    monkeypatch.setattr(audio, "mel_filterbank",
+                        logged(audio.mel_filterbank, "mel"))
+    audio._mel_bank.cache_clear()
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    manifest = _make_corpus(tmp_path / "wavs", n_per_class=3, rate=44100)
+    cfg = _write_config(tmp_path / "exp.cfg", tmp_path / "out")
+    built = []
+    for _ in range(2):
+        _featurized(manifest, cfg, "2")
+        built.append(log.read_text().splitlines() if log.exists() else [])
+        log.unlink(missing_ok=True)
+    here = str(os.getpid())
+    assert sorted(set(built[0])) == [f"mel {here}", f"rows {here}"]
+    assert built[1] == []
+    _no_children_left()
+
+
 @pytest.mark.parametrize("lines, error", [
     # stft needs two samples a window, the Mel filterbank two filters
     (["window_len=1"], "window_len must be at least 2"),
@@ -921,6 +1073,41 @@ def test_band_edges_that_design_pass_the_config(tmp_path, high):
     assert rc == 2
     assert (out / "features.report.txt").read_text().endswith(
         "processed 0/2\n")
+
+
+@pytest.mark.parametrize("n_mel, rc", [("3000", 1), ("1000", 2)])
+def test_mel_centers_that_collide_are_a_config_error(tmp_path, capsys, n_mel,
+                                                     rc):
+    # 3000 Mel filters up to 4 kHz have centers less than 1 Hz apart, so
+    # their names collide; 1000 do not, and the missing files are reported
+    manifest = _missing_files_manifest(tmp_path)
+    out = tmp_path / "out"
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"out_dir={out}\nn_mel={n_mel}\n", encoding="utf-8")
+    assert cli.main(["featurize", str(manifest), "--config", str(cfg)]) == rc
+    if rc == 1:
+        assert "config error: n_mel=3000 at resample_hz=8000: Mel centers " \
+            "collide after rounding to integer Hz" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert (out / "features.report.txt").read_text().endswith(
+            "processed 0/2\n")
+
+
+def test_model_commands_never_design_the_band_filter(workspace, tmp_path):
+    # only featurize filters, so only featurize designs the filter, before
+    # it reads its manifest
+    cfg = _write_config(tmp_path / "band.cfg", tmp_path / "out",
+                        ["bandpass_low=100", "bandpass_high=3000"])
+    cube = str(workspace["out"] / "features.cube")
+    audio._band_zi.cache_clear()
+    for command in ("train", "evaluate", "rules"):
+        assert cli.main([command, cube, "--config", str(cfg)]) == 0
+    info = audio._band_zi.cache_info()
+    assert info.hits == info.misses == 0
+    rc = cli.main(["featurize", str(_missing_files_manifest(tmp_path)),
+                   "--config", str(cfg)])
+    assert rc == 2 and audio._band_zi.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("line", [
