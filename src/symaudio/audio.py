@@ -250,21 +250,6 @@ def require_memory(need, what):
                          f"the {have / 2**30:.1f} GiB of memory")
 
 
-# Chebyshev coefficients of exp(-x) I0(x) for 0 <= x <= 8 (Cephes i0.c),
-# the series np.i0 evaluates on that range.
-_I0_CHEB = (
-    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
-    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
-    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
-    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
-    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
-    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
-    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
-    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
-    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
-    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
-)
-
 KAISER_BETA = 8.0
 RESAMPLE_BLOCK = 2 ** 15   # kernel entries per block of output samples
 KERNEL_CACHE = 2 ** 18     # kernel entries kept for reuse across blocks
@@ -274,54 +259,14 @@ I0_BETA = float(np.i0(KAISER_BETA))   # the Kaiser window's normaliser
 _kernel_rows = threading.local()   # .store: see _row_store
 
 
-def _i0(z, out, scratch):
-    """np.i0(z) for 0 <= z <= 8 into out, by the same IEEE operations in the
-    same order: exp(z) times numpy's Chebyshev recurrence at z/2 - 2.  The
-    three scratch arrays have z's shape."""
-    y = np.divide(z, 2.0, out=out)
-    y -= 2.0
-    b0, b1, b2 = scratch
-    b0.fill(_I0_CHEB[0])
-    b1.fill(0.0)
-    for a in _I0_CHEB[1:]:
-        b0, b1, b2 = b2, b0, b1   # b2 = b1; b1 = b0; b0 takes the old b2
-        np.multiply(y, b1, out=b0)
-        b0 -= b2
-        b0 += a
-    b0 -= b2
-    b0 *= 0.5
-    np.exp(z, out=out)
-    out *= b0
-    return out
-
-
-def _kernel(t, half, cutoff, out, scratch, mask):
-    """cutoff * sinc(cutoff * t) * kaiser(t / half) into out, by the IEEE
-    operations of np.sinc and np.i0 in their order.  t is overwritten; the
-    four scratch arrays and the boolean mask have t's shape."""
-    u, *rest = scratch
-    # Kaiser window i0(8*sqrt(max(1 - u*u, 0))) / i0(8), zeroed where |u| >= 1
-    np.divide(t, half, out=u)
-    np.abs(u, out=out)
-    np.greater_equal(out, 1.0, out=mask)
-    np.multiply(u, u, out=u)
-    np.subtract(1.0, u, out=u)
-    np.maximum(u, 0.0, out=u)
-    np.sqrt(u, out=u)
-    u *= KAISER_BETA
-    win = _i0(u, out, rest)
-    win /= I0_BETA
-    np.copyto(win, 0.0, where=mask)
-    # np.sinc: sin(pi*x) / (pi*x), with eps standing in for x == 0
-    t *= cutoff
-    t *= np.pi
-    np.equal(t, 0.0, out=mask)
-    np.copyto(t, np.finfo(np.float64).eps, where=mask)
-    np.sin(t, out=u)
-    u /= t
-    u *= cutoff
-    win *= u
-    return out
+def _kernel(t, half, cutoff):
+    """cutoff * sinc(cutoff * t) * kaiser(t / half), as the reference
+    resampler computes it: the Kaiser window i0(8*sqrt(1 - u*u)) / i0(8)
+    at u = t / half, zero where |u| >= 1."""
+    u = t / half
+    win = np.i0(KAISER_BETA * np.sqrt(np.maximum(1.0 - u * u, 0.0))) / I0_BETA
+    win[np.abs(u) >= 1.0] = 0.0
+    return cutoff * np.sinc(cutoff * t) * win
 
 
 class _RowStore:
@@ -379,8 +324,7 @@ def _block_rows(store, lo, hi, ratio, half, cutoff):
         new = list(fresh.values())
         n_old = len(cache)
         t = (start[new, None] + np.arange(taps)) - pos[new, None]
-        _kernel(t, half, cutoff, table[n_old:n_old + len(new)],
-                np.empty((4,) + t.shape), np.empty(t.shape, dtype=bool))
+        table[n_old:n_old + len(new)] = _kernel(t, half, cutoff)
         cache.update(zip(fresh, range(n_old, n_old + len(new))))
         slots = list(map(cache.get, keys))
     first = start + taps                   # x[k] is xpad[k + taps]
@@ -404,9 +348,8 @@ def resample(sig, target_rate):
     first tap and kernel row of the first PLAN_CAP outputs are kept with
     those rows, so later clips at that pair read them instead of working
     them out.  Each output sample is the sum of its own row of tap
-    products, each computed by the IEEE operations of np.sinc and np.i0 in
-    their order, so neither the blocks nor the reuse change a bit of the
-    result.
+    products, each kernel entry computed by np.sinc and np.i0 alone, so
+    neither the blocks nor the reuse change a bit of the result.
     """
     if target_rate <= 0:
         raise ValueError("target rate must be positive")

@@ -326,7 +326,7 @@ def test_resample_preserves_tone():
 
 @pytest.mark.parametrize("sr,target", [(44100, 8000), (48000, 16000),
                                        (22050, 8000), (8000, 44100),
-                                       (8000, 16000)])
+                                       (8000, 16000), (44101, 8000)])
 def test_resample_bitwise_equals_reference(sr, target, monkeypatch):
     taps = 2 * math.ceil(32.0 / min(1.0, target / sr)) + 1
     rng = np.random.default_rng(sr + target)
@@ -541,11 +541,33 @@ def test_warming_checks_as_resample_does(sr, n_in, error):
         audio.warm_resampler(sr, 8000, n_in)
 
 
-def test_window_recurrence_equals_np_i0():
-    z = np.concatenate([np.linspace(0.0, 8.0, 200_001),
-                        np.nextafter([0.0, 8.0], [1.0, 0.0])])
-    got = audio._i0(z, np.empty_like(z), np.empty((3, z.size)))
-    assert got.view(np.uint64).tolist() == np.i0(z).view(np.uint64).tolist()
+def _reference_kernel(t, half, cutoff):
+    # the kernel as reference_resample computes it: np.i0 evaluated on the
+    # taps inside the support only, and the window zero outside
+    u = t / half
+    win = np.zeros_like(t)
+    inside = np.abs(u) < 1.0
+    i0_beta = float(np.i0(8.0))
+    win[inside] = np.i0(8.0 * np.sqrt(1.0 - u[inside] ** 2)) / i0_beta
+    return cutoff * np.sinc(cutoff * t) * win
+
+
+@pytest.mark.parametrize("sr,target", [(44100, 8000), (8000, 44100),
+                                       (50_000_000, 8000)])
+def test_kernel_equals_the_reference_at_its_edges(sr, target):
+    # t = 0 (sinc's zero substitution), t = +-half (u*u is 1, the window
+    # must be zero), the floats either side of +-half, and random taps
+    cutoff = min(1.0, target / sr)
+    half = 32.0 / cutoff
+    edges = np.array([half, np.nextafter(half, 0.0),
+                      np.nextafter(half, np.inf)])
+    rng = np.random.default_rng(sr + target)
+    t = np.concatenate([[0.0], edges, -edges,
+                        rng.uniform(-1.25 * half, 1.25 * half, 20_000)])
+    got = audio._kernel(t, half, cutoff)
+    want = _reference_kernel(t, half, cutoff)
+    assert got[[1, 4]].tolist() == [0.0, 0.0]
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 def test_resample_memory_is_bounded():
@@ -557,6 +579,23 @@ def test_resample_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_resample_memory_is_bounded_at_the_widest_rows(monkeypatch):
+    # 1:8192 gives 524,289 taps, one row per block and a table of one row;
+    # the peak counts the padded input, the row's taps and products, the
+    # table and np.i0's temporaries, about 16 rows' bytes in all
+    monkeypatch.setattr(audio._kernel_rows, "store", None, raising=False)
+    sr, target = 8_192_000, 1000
+    row_bytes = 8 * (2 * 32 * 8192 + 1)
+    sig = AudioSignal(np.random.default_rng(0).standard_normal(4 * 8192), sr)
+    tracemalloc.start()
+    try:
+        assert len(resample(sig, target).samples) == 4
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * row_bytes
 
 
 def test_resample_rejects_rates_beyond_bounds(monkeypatch):
